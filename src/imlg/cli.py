@@ -11,7 +11,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from .design import parse_design, parse_labels, write_design, write_labels
+from .design import (
+    DesignError,
+    parse_design,
+    parse_labels,
+    read_label_lines,
+    write_design,
+    write_labels,
+)
 from .features import EncoderConfig
 from .graphs import BuildConfig, build_graph, read_graph, write_graph
 from .metrics import render_report, report, roc_lines
@@ -216,15 +223,10 @@ def cmd_eval(ns) -> int:
     cfg = _effective_config(ns)
     _print_config(cfg)
     names, probs, _pred_labels = read_predictions(Path(ns.pred).read_text(encoding="utf-8"))
-    truth_text = Path(ns.labels).read_text(encoding="utf-8")
-    truth: dict[str, int] = {}
-    for lineno, raw in enumerate(truth_text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        if len(tokens) != 2 or tokens[1] not in ("0", "1"):
-            raise ValueError(f"{ns.labels}:{lineno}: expected '<instance> <0|1>'")
-        truth[tokens[0]] = int(tokens[1])
+    try:
+        truth = read_label_lines(Path(ns.labels).read_text(encoding="utf-8"))
+    except DesignError as err:
+        raise ValueError(f"{ns.labels}: {err}") from None
     missing = [nm for nm in names if nm not in truth]
     if missing:
         raise ValueError(f"{ns.labels}: no label for predicted instance {missing[0]}")

@@ -240,9 +240,11 @@ def write_design(design: PlacementDesign) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_labels(text: str, design: PlacementDesign) -> LabelSet:
-    """Parse a label document and check it covers the design exactly."""
-    known = {inst.name for inst in design.instances}
+def read_label_lines(text: str, known: set[str] | None = None) -> dict[str, int]:
+    """Parse ``<instance> <0|1>`` lines into a dict, rejecting malformed
+    lines, bad values, repeated instances and, when ``known`` is given,
+    unknown instances, each with its line number. Coverage is the caller's
+    business."""
     labels: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _strip_comment(raw).split()
@@ -251,13 +253,20 @@ def parse_labels(text: str, design: PlacementDesign) -> LabelSet:
         if len(tokens) != 2:
             raise DesignError("label line expects '<instance> <0|1>'", lineno)
         name, value = tokens
-        if name not in known:
+        if known is not None and name not in known:
             raise DesignError(f"unknown instance {name}", lineno)
         if name in labels:
             raise DesignError(f"duplicate label for {name}", lineno)
         if value not in ("0", "1"):
             raise DesignError(f"label not in {{0,1}} for {name}: {value}", lineno)
         labels[name] = int(value)
+    return labels
+
+
+def parse_labels(text: str, design: PlacementDesign) -> LabelSet:
+    """Parse a label document and check it covers the design exactly."""
+    known = {inst.name for inst in design.instances}
+    labels = read_label_lines(text, known)
     missing = sorted(known - labels.keys())
     if missing:
         raise DesignError(f"missing instance {missing[0]} ({len(missing)} uncovered)")

@@ -13,7 +13,9 @@ Three edge rules, applied in order:
    neighbors (instances sharing any net), up to ``edge_cap``.
 
 The result is far sparser than expanding every net into a clique while
-keeping hot regions connected.
+keeping hot regions connected. Both distance-ranked rules order candidates
+by (squared distance, id) through ``imlg.spatial``, which also holds the
+grid index behind the congeneric candidate search.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from .design import LabelSet, PlacementDesign
 from .features import EncoderConfig, build_feature_matrix
+from .spatial import GridIndex, by_distance
 
 EDGE_RULES = ("congeneric", "correlation", "residual")
 _RULE_RANK = {r: i for i, r in enumerate(EDGE_RULES)}
@@ -77,29 +80,38 @@ class _NodeTable:
 
     def __init__(self, design: PlacementDesign):
         insts = sorted(design.instances, key=lambda s: s.name)
+        n = len(insts)
         self.names = [s.name for s in insts]
         self.name_to_id = {nm: i for i, nm in enumerate(self.names)}
-        self.xy = np.array([(s.x, s.y) for s in insts])
-        self.is_ff = np.array([s.type == "FF" for s in insts])
-        self.inputs = [frozenset() for _ in insts]
-        self.ck = [None] * len(insts)
-        self.sr = [None] * len(insts)
+        self.xy = np.array([(s.x, s.y) for s in insts]).reshape(n, 2)
+        self.is_ff = np.array([s.type == "FF" for s in insts], dtype=bool)
+        # ck / sr nets as net indices (-1 = none) and LUT input nets as net
+        # index rows, so that BLE compatibility is a vectorized comparison
+        self.ck = np.full(n, -1, dtype=np.int64)
+        self.sr = np.full(n, -1, dtype=np.int64)
         self.net_members: list[list[int]] = []
-        lut_in: dict[int, set[str]] = {}
+        lut_in: dict[int, set[int]] = {}
+        net_code: dict[str, int] = {}
         for net in design.nets:
+            k = net_code.setdefault(net.name, len(net_code))
             members = sorted({self.name_to_id[nm] for nm, _ in net.pins})
             self.net_members.append(members)
             for nm, pin in net.pins:
                 i = self.name_to_id[nm]
                 if self.is_ff[i]:
                     if pin == "ck":
-                        self.ck[i] = net.name
+                        self.ck[i] = k
                     elif pin == "sr":
-                        self.sr[i] = net.name
+                        self.sr[i] = k
                 elif pin != "o":
-                    lut_in.setdefault(i, set()).add(net.name)
+                    lut_in.setdefault(i, set()).add(k)
+        width = max((len(v) for v in lut_in.values()), default=0)
+        # padding never matches: it is negative and distinct per (node, slot)
+        self.inputs = -1 - np.arange(n * width, dtype=np.int64).reshape(n, width)
+        self.n_inputs = np.zeros(n, dtype=np.int16)
         for i, nets in lut_in.items():
-            self.inputs[i] = frozenset(nets)
+            self.inputs[i, : len(nets)] = sorted(nets)
+            self.n_inputs[i] = len(nets)
 
     @property
     def n(self) -> int:
@@ -111,50 +123,41 @@ def node_order(design: PlacementDesign) -> list[str]:
     return sorted(inst.name for inst in design.instances)
 
 
-def _compatible(table: _NodeTable, u: int, v: int) -> bool:
-    if table.is_ff[u]:
-        return table.ck[u] == table.ck[v] and table.sr[u] == table.sr[v]
-    a, b = table.inputs[u], table.inputs[v]
-    if len(a) + len(b) <= 6:
-        return True
-    return len(a | b) <= 6
+def _compatible(table: _NodeTable, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Broadcast mask of the same-class pairs (u, v) that could share a BLE:
+    FFs with equal ck and sr nets, LUTs with at most 6 distinct input nets
+    between them."""
+    if table.is_ff[u.flat[0]]:
+        return (table.ck[u] == table.ck[v]) & (table.sr[u] == table.sr[v])
+    shared = np.zeros(np.broadcast_shapes(u.shape, v.shape), dtype=np.int16)
+    for s in range(table.inputs.shape[1]):
+        a = table.inputs[u, s]
+        for t in range(table.inputs.shape[1]):
+            shared += a == table.inputs[v, t]
+    return table.n_inputs[u] + table.n_inputs[v] - shared <= 6
 
 
 def _congeneric_from_table(table: _NodeTable, cfg: BuildConfig) -> set[tuple[int, int]]:
+    # candidates: same class, in the 3x3 block of L-sized cells around the
+    # node and within Chebyshev distance L; each node keeps the edge_cap
+    # nearest compatible ones by (distance, id)
     n = table.n
-    buckets: dict[tuple[int, int, bool], list[int]] = {}
-    size = cfg.L
-    cell = np.floor(table.xy / size).astype(np.int64)
-    for i in range(n):
-        buckets.setdefault((cell[i, 0], cell[i, 1], bool(table.is_ff[i])), []).append(i)
-    selected: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        cx, cy = cell[i]
-        cand: list[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                cand.extend(buckets.get((cx + dx, cy + dy, bool(table.is_ff[i])), ()))
-        cand = [j for j in cand if j != i]
-        if not cand:
-            continue
-        arr = np.array(cand)
-        delta = np.abs(table.xy[arr] - table.xy[i])
-        in_range = np.maximum(delta[:, 0], delta[:, 1]) <= cfg.L
-        arr = arr[in_range]
-        if len(arr) == 0:
-            continue
-        d2 = np.sum((table.xy[arr] - table.xy[i]) ** 2, axis=1)
-        for j in arr[np.lexsort((arr, d2))]:
-            if _compatible(table, i, int(j)):
-                selected[i].add(int(j))
-                if len(selected[i]) >= cfg.edge_cap:
-                    break
-    edges = set()
-    for i in range(n):
-        for j in selected[i]:
-            if i < j and i in selected[j]:
-                edges.add((i, j))
-    return edges
+    selected = np.full((n, cfg.edge_cap), -1, dtype=np.int64)
+    for ff in (False, True):
+        ids = np.flatnonzero(table.is_ff == ff)
+        index = GridIndex(table.xy, cfg.L, ids)
+        selected[ids] = index.nearest(
+            ids, cfg.edge_cap, box=cfg.L, accept=lambda u, v: _compatible(table, u, v)
+        )
+    i = np.repeat(np.arange(n, dtype=np.int64), cfg.edge_cap)
+    j = selected.ravel()
+    keep = j >= 0
+    picks = np.sort(i[keep] * n + j[keep])  # sorted keys of (node, kept candidate)
+    up = j > i
+    i, j = i[up], j[up]
+    back = j * n + i  # does j keep i too?
+    mutual = picks[np.minimum(np.searchsorted(picks, back), len(picks) - 1)] == back
+    return set(zip(i[mutual].tolist(), j[mutual].tolist()))
 
 
 def build_congeneric_edges(design: PlacementDesign, cfg: BuildConfig = BuildConfig()) -> set:
@@ -208,10 +211,8 @@ def _residual_from_table(
         if not partners:
             still_isolated.append(i)
             continue
-        arr = np.array(partners)
-        d2 = np.sum((table.xy[arr] - table.xy[i]) ** 2, axis=1)
-        for j in arr[np.lexsort((arr, d2))][:edge_cap]:
-            edges.add((min(i, int(j)), max(i, int(j))))
+        for j in by_distance(table.xy, i, partners)[:edge_cap].tolist():
+            edges.add((min(i, j), max(i, j)))
     return edges, still_isolated
 
 
@@ -348,74 +349,132 @@ def write_graph(graph: CircuitGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _repeated_edge_line(lines: list[str]) -> int | None:
+    """Line number of the first EDGE line that repeats an earlier one."""
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(lines[1:], start=2):
+        tokens = raw.split()
+        if tokens and tokens[0] == "EDGE":
+            key = (int(tokens[1]), int(tokens[2]))
+            if key in seen:
+                return lineno
+            seen.add(key)
+    return None
+
+
+def _check_coverage(kind: str, line_of: np.ndarray | None) -> None:
+    """Per-node lines of one kind (line numbers, 0 = none) cover all nodes or none."""
+    if line_of is None:
+        return
+    missing = np.flatnonzero(line_of == 0)
+    if len(missing):
+        raise GraphFormatError(
+            f"missing {kind} line for node {int(missing[0])} ({kind} lines from here "
+            f"on cover {len(line_of) - len(missing)} of {len(line_of)} nodes)",
+            int(line_of[line_of > 0].min()),
+        )
+
+
 def read_graph(text: str) -> CircuitGraph:
     """Parse an IMLG-GRAPH document. Node names are not stored in the file;
-    they default to the node index as a string."""
+    they default to the node index as a string.
+
+    Malformed lines, repeated edges or node lines, partial FEAT / LABEL /
+    CLUSTER coverage and non-finite features raise GraphFormatError with
+    the line number."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "IMLG-GRAPH v1":
         raise GraphFormatError("expected header 'IMLG-GRAPH v1'", 1)
     n = d = None
     edges: list[tuple[int, int, str]] = []
-    feats = None
-    labels = None
-    clusters = None
-    seen_feat = np.zeros(0, dtype=bool)
+    feats = labels = clusters = None
+    # line number of each node's FEAT / LABEL / CLUSTER line, 0 = none yet
+    feat_line = label_line = cluster_line = None
     for lineno, raw in enumerate(lines[1:], start=2):
         tokens = raw.split()
         if not tokens:
             continue
         kind = tokens[0]
-        if kind == "N":
-            if len(tokens) != 4 or tokens[2] != "D":
-                raise GraphFormatError("expected 'N <n> D <d>'", lineno)
-            n, d = int(tokens[1]), int(tokens[3])
-            seen_feat = np.zeros(n, dtype=bool)
-        elif n is None:
-            raise GraphFormatError("size line 'N ... D ...' must come first", lineno)
-        elif kind == "EDGE":
-            if len(tokens) != 4:
-                raise GraphFormatError("expected 'EDGE <i> <j> <rule>'", lineno)
-            i, j, rule = int(tokens[1]), int(tokens[2]), tokens[3]
-            if rule not in EDGE_RULES:
-                raise GraphFormatError(f"unknown edge rule '{rule}'", lineno)
-            if not (0 <= i < j < n):
-                raise GraphFormatError(f"bad edge endpoints {i} {j}", lineno)
-            edges.append((i, j, rule))
-        elif kind == "FEAT":
-            if feats is None:
-                feats = np.zeros((n, d))
-            i = int(tokens[1])
-            vals = tokens[2:]
-            if not (0 <= i < n) or len(vals) != d:
-                raise GraphFormatError(f"bad FEAT line for node {tokens[1]}", lineno)
-            feats[i] = [float(v) for v in vals]
-            seen_feat[i] = True
-        elif kind == "LABEL":
-            if labels is None:
-                labels = np.zeros(n, dtype=np.int64)
-            i, v = int(tokens[1]), tokens[2]
-            if not (0 <= i < n) or v not in ("0", "1"):
-                raise GraphFormatError(f"bad LABEL line for node {tokens[1]}", lineno)
-            labels[i] = int(v)
-        elif kind == "CLUSTER":
-            if clusters is None:
-                clusters = np.zeros(n, dtype=np.int64)
-            i = int(tokens[1])
-            if not (0 <= i < n):
-                raise GraphFormatError(f"bad CLUSTER line for node {tokens[1]}", lineno)
-            clusters[i] = int(tokens[2])
-        else:
-            raise GraphFormatError(f"unknown directive '{kind}'", lineno)
+        try:
+            if kind == "N":
+                if n is not None:
+                    raise GraphFormatError("second size line", lineno)
+                if len(tokens) != 4 or tokens[2] != "D":
+                    raise GraphFormatError("expected 'N <n> D <d>'", lineno)
+                n, d = int(tokens[1]), int(tokens[3])
+            elif n is None:
+                raise GraphFormatError("size line 'N ... D ...' must come first", lineno)
+            elif kind == "EDGE":
+                if len(tokens) != 4:
+                    raise GraphFormatError("expected 'EDGE <i> <j> <rule>'", lineno)
+                i, j, rule = int(tokens[1]), int(tokens[2]), tokens[3]
+                if rule not in EDGE_RULES:
+                    raise GraphFormatError(f"unknown edge rule '{rule}'", lineno)
+                if not (0 <= i < j < n):
+                    raise GraphFormatError(f"bad edge endpoints {i} {j}", lineno)
+                edges.append((i, j, rule))
+            elif kind == "FEAT":
+                if feats is None:
+                    feats = np.zeros((n, d))
+                    feat_line = np.zeros(n, dtype=np.int64)
+                i = int(tokens[1])
+                vals = tokens[2:]
+                if not (0 <= i < n) or len(vals) != d:
+                    raise GraphFormatError(f"bad FEAT line for node {tokens[1]}", lineno)
+                if feat_line[i]:
+                    raise GraphFormatError(f"second FEAT line for node {i}", lineno)
+                feats[i] = [float(v) for v in vals]
+                feat_line[i] = lineno
+            elif kind == "LABEL":
+                if labels is None:
+                    labels = np.zeros(n, dtype=np.int64)
+                    label_line = np.zeros(n, dtype=np.int64)
+                if len(tokens) != 3:
+                    raise GraphFormatError("expected 'LABEL <i> <0|1>'", lineno)
+                i, v = int(tokens[1]), tokens[2]
+                if not (0 <= i < n) or v not in ("0", "1"):
+                    raise GraphFormatError(f"bad LABEL line for node {tokens[1]}", lineno)
+                if label_line[i]:
+                    raise GraphFormatError(f"second LABEL line for node {i}", lineno)
+                labels[i] = int(v)
+                label_line[i] = lineno
+            elif kind == "CLUSTER":
+                if clusters is None:
+                    clusters = np.zeros(n, dtype=np.int64)
+                    cluster_line = np.zeros(n, dtype=np.int64)
+                if len(tokens) != 3:
+                    raise GraphFormatError("expected 'CLUSTER <i> <c>'", lineno)
+                i = int(tokens[1])
+                if not (0 <= i < n):
+                    raise GraphFormatError(f"bad CLUSTER line for node {tokens[1]}", lineno)
+                if cluster_line[i]:
+                    raise GraphFormatError(f"second CLUSTER line for node {i}", lineno)
+                clusters[i] = int(tokens[2])
+                cluster_line[i] = lineno
+            else:
+                raise GraphFormatError(f"unknown directive '{kind}'", lineno)
+        except GraphFormatError:
+            raise
+        except (ValueError, IndexError) as err:  # a missing or non-numeric token
+            raise GraphFormatError(f"bad {kind} line: {err}", lineno) from None
     if n is None:
         raise GraphFormatError("missing size line 'N <n> D <d>'")
-    if feats is not None and not seen_feat.all():
-        raise GraphFormatError(f"missing FEAT line for node {int(np.argmin(seen_feat))}")
+    _check_coverage("FEAT", feat_line)
+    _check_coverage("LABEL", label_line)
+    _check_coverage("CLUSTER", cluster_line)
+    if feats is not None:
+        bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+        if len(bad):
+            node = int(bad[np.argmin(feat_line[bad])])
+            raise GraphFormatError(f"non-finite FEAT value for node {node}", int(feat_line[node]))
     names = [str(i) for i in range(n)]
     neigh: list[list[int]] = [[] for _ in range(n)]
     for i, j, _rule in edges:
         neigh[i].append(j)
         neigh[j].append(i)
     adj = [np.array(sorted(set(v)), dtype=np.int64) for v in neigh]
+    if sum(len(a) for a in adj) != 2 * len(edges):
+        raise GraphFormatError("repeated EDGE line", _repeated_edge_line(lines))
     return CircuitGraph(
         names=names,
         name_to_id={nm: i for i, nm in enumerate(names)},

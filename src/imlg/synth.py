@@ -11,6 +11,10 @@ unpacked (1).
 The generator hits a requested minority fraction by bisecting the
 hotspot intensity against the oracle, so the labels always come from the
 oracle, never from the placement step itself.
+
+Nets connect each sink to one of its nearest drivers; the neighbor
+queries live in ``imlg.spatial`` (grid index, (distance, id) order), the
+same index the graph builder uses.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .design import (
     PlacementDesign,
     lut_width,
 )
+from .spatial import GridIndex, by_distance, radius_cell
 
 BLES_PER_CELL = 8
 LUTS_PER_BLE = 2
@@ -139,17 +144,9 @@ class _Skeleton:
         return pos
 
 
-def _nearest_ids(xy: np.ndarray, pool: np.ndarray, i: int, radius: float, k: int) -> list[int]:
-    """Up to k nearest pool members to node i within radius, excluding i."""
-    if len(pool) == 0:
-        return []
-    d2 = np.sum((xy[pool] - xy[i]) ** 2, axis=1)
-    mask = (d2 <= radius * radius) & (pool != i)
-    cand = pool[mask]
-    if len(cand) == 0:
-        return []
-    order = np.lexsort((cand, d2[mask]))  # distance, then id for determinism
-    return [int(c) for c in cand[order[:k]]]
+def _rows(near: np.ndarray) -> list[list[int]]:
+    """Per-query neighbor lists from a -1 padded GridIndex.nearest result."""
+    return [[j for j in row if j >= 0] for row in near.tolist()]
 
 
 def _build_nets(names, types, xy, cfg: GenConfig) -> list[Net]:
@@ -170,20 +167,20 @@ def _build_nets(names, types, xy, cfg: GenConfig) -> list[Net]:
     sr_members = [int(f) for f, s in zip(ff_ids, sr_flags) if s]
 
     # LUT -> FF data connections (feeds the correlation rule)
-    for f in ff_ids:
+    cell = radius_cell(_NEAR_RADIUS)
+    ff_near = _rows(GridIndex(xy, cell, lut_ids).nearest(ff_ids, 3, radius=_NEAR_RADIUS))
+    for f, near in zip(ff_ids.tolist(), ff_near):
         if rng.random() < cfg.ff_driven_frac:
-            near = _nearest_ids(xy, lut_ids, int(f), _NEAR_RADIUS, 3)
             if near:
-                attach(near[rng.integers(len(near))], int(f), "d")
+                attach(near[rng.integers(len(near))], f, "d")
 
     # random fan-in for LUT inputs from nearby outputs
-    all_ids = np.arange(n, dtype=np.int64)
-    for l in lut_ids:
+    lut_near = _rows(GridIndex(xy, cell).nearest(lut_ids, 6, radius=_NEAR_RADIUS))
+    for l, near in zip(lut_ids.tolist(), lut_near):
         for k in range(lut_width(types[l])):
             if rng.random() < _LUT_INPUT_CONNECT_PROB:
-                near = _nearest_ids(xy, all_ids, int(l), _NEAR_RADIUS, 6)
                 if near:
-                    attach(near[rng.integers(len(near))], int(l), f"i{k}")
+                    attach(near[rng.integers(len(near))], l, f"i{k}")
 
     # every instance must share at least one net so the netlist has no orphans
     name_to_id = {nm: i for i, nm in enumerate(names)}
@@ -196,13 +193,11 @@ def _build_nets(names, types, xy, cfg: GenConfig) -> list[Net]:
     connected.update(f for f, g in ck_group.items() if ck_counts[g] >= 2)
     if len(sr_members) >= 2:
         connected.update(sr_members)
+    all_ids = np.arange(n, dtype=np.int64)
     for i in range(n):
         if i in connected:
             continue
-        near = _nearest_ids(xy, all_ids, i, float("inf"), 1)
-        if not near:
-            continue
-        drv = near[0]
+        drv = int(by_distance(xy, i, all_ids[all_ids != i])[0])
         attach(drv, i, "d" if types[i] == "FF" else "i0")
         connected.add(i)
         connected.add(drv)
@@ -224,8 +219,7 @@ def _build_nets(names, types, xy, cfg: GenConfig) -> list[Net]:
 def _design_at(skel: _Skeleton, cfg: GenConfig, intensity: float) -> PlacementDesign:
     xy = skel.positions(intensity)
     instances = [
-        Instance(nm, t, float(x), float(y))
-        for nm, t, (x, y) in zip(skel.names, skel.types, xy)
+        Instance(nm, t, x, y) for nm, t, (x, y) in zip(skel.names, skel.types, xy.tolist())
     ]
     nets = _build_nets(skel.names, skel.types, xy, cfg)
     return PlacementDesign(skel.w, skel.h, instances, nets)

@@ -276,14 +276,37 @@ def write_predictions(names: list[str], probs: np.ndarray, labels: np.ndarray) -
 
 
 def read_predictions(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    names, probs, labels = [], [], []
+    """Parse ``name,probability,label`` lines. A non-numeric field, a
+    probability outside [0, 1] (or not finite), a label other than 0 or 1
+    and a repeated name raise ValueError with the line number."""
+    names, probs, labels, where = [], [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         parts = raw.split(",")
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'name,probability,label'")
+        try:
+            prob, label = float(parts[1]), int(parts[2])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-numeric field in '{raw.strip()}'") from None
+        if label not in (0, 1):
+            raise ValueError(f"line {lineno}: label {label} for {parts[0]} not in {{0, 1}}")
         names.append(parts[0])
-        probs.append(float(parts[1]))
-        labels.append(int(parts[2]))
-    return names, np.array(probs), np.array(labels, dtype=np.int64)
+        probs.append(prob)
+        labels.append(label)
+        where.append(lineno)
+    prob_arr = np.array(probs)
+    bad = np.flatnonzero(~((prob_arr >= 0.0) & (prob_arr <= 1.0)))  # NaN fails both
+    if len(bad):
+        r = bad[0]
+        raise ValueError(f"line {where[r]}: probability {probs[r]} for {names[r]} not in [0, 1]")
+    if len(set(names)) != len(names):
+        first: dict[str, int] = {}
+        for nm, lineno in zip(names, where):
+            if nm in first:
+                raise ValueError(
+                    f"line {lineno}: duplicate prediction for {nm} (first at line {first[nm]})"
+                )
+            first[nm] = lineno
+    return names, prob_arr, np.array(labels, dtype=np.int64)

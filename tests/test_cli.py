@@ -58,6 +58,19 @@ def test_eval_on_handwritten_perfect_files(tmp_path, capsys):
     assert "auc,1" in out and "f1,1" in out and "tpr@20,1" in out
 
 
+def test_eval_rejects_duplicate_and_missing_labels(tmp_path, capsys):
+    (tmp_path / "p.pred").write_text("a,0.9,1\nb,0.2,0\n")
+    (tmp_path / "dup.labels").write_text("a 1\nb 0\na 0\n")
+    (tmp_path / "short.labels").write_text("a 1\n")
+    assert main(["eval", "--pred", str(tmp_path / "p.pred"),
+                 "--labels", str(tmp_path / "dup.labels")]) == 1
+    err = capsys.readouterr().err
+    assert "dup.labels: line 3: duplicate label for a" in err
+    assert main(["eval", "--pred", str(tmp_path / "p.pred"),
+                 "--labels", str(tmp_path / "short.labels")]) == 1
+    assert "no label for predicted instance b" in capsys.readouterr().err
+
+
 def test_effective_config_is_printed(tmp_path, capsys):
     main(["gen", "--instances", "50", "--seed", "9", "--out", str(tmp_path / "x")])
     out = capsys.readouterr().out

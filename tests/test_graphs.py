@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,60 @@ def test_edge_cap_keeps_exactly_nearest_candidates():
     expected = {j for _d2, j in dists[:16]}
     assert focal_neighbors == expected
     assert len(focal_neighbors) == 16
+
+
+def _congeneric_reference(design, cfg):
+    """Per-node loop: same-class candidates in the 3x3 block of L-cells and
+    within Chebyshev L, walked in (distance, id) order through a set-based
+    compatibility test until edge_cap are kept; mutual picks become edges."""
+    insts = sorted(design.instances, key=lambda s: s.name)
+    n = len(insts)
+    ids = {s.name: i for i, s in enumerate(insts)}
+    xy = np.array([(s.x, s.y) for s in insts])
+    is_ff = np.array([s.type == "FF" for s in insts])
+    inputs = [set() for _ in insts]
+    ctrl = [[None, None] for _ in insts]
+    for net in design.nets:
+        for nm, pin in net.pins:
+            i = ids[nm]
+            if is_ff[i] and pin in ("ck", "sr"):
+                ctrl[i][pin == "sr"] = net.name
+            elif not is_ff[i] and pin != "o":
+                inputs[i].add(net.name)
+    cell = np.floor(xy / cfg.L).astype(np.int64)
+    selected = []
+    for i in range(n):
+        near = (
+            (is_ff == is_ff[i])
+            & (np.abs(cell - cell[i]).max(axis=1) <= 1)
+            & (np.abs(xy - xy[i]).max(axis=1) <= cfg.L)
+        )
+        near[i] = False
+        cand = np.flatnonzero(near)
+        d2 = (xy[cand, 0] - xy[i, 0]) ** 2 + (xy[cand, 1] - xy[i, 1]) ** 2
+        keep = set()
+        for j in cand[np.lexsort((cand, d2))].tolist():
+            ok = ctrl[i] == ctrl[j] if is_ff[i] else len(inputs[i] | inputs[j]) <= 6
+            if ok:
+                keep.add(j)
+                if len(keep) == cfg.edge_cap:
+                    break
+        selected.append(keep)
+    return {(i, j) for i in range(n) for j in selected[i] if i < j and i in selected[j]}
+
+
+@pytest.mark.parametrize("L,cap", [(5.0, 16), (2.0, 3), (1.0, 1)])
+def test_congeneric_matches_reference_loop_on_ties(L, cap):
+    design, _labels = generate_labeled(GenConfig(n_instances=400, seed=4))
+    # snap to a half-unit lattice: many exact duplicates and distance ties
+    w, h = design.layout_w, design.layout_h
+    snapped = [
+        Instance(s.name, s.type, min(round(s.x * 2) / 2, w - 0.5), min(round(s.y * 2) / 2, h - 0.5))
+        for s in design.instances
+    ]
+    for d in (design, PlacementDesign(w, h, snapped, design.nets)):
+        cfg = BuildConfig(L=L, edge_cap=cap)
+        assert build_congeneric_edges(d, cfg) == _congeneric_reference(d, cfg)
 
 
 def test_congeneric_degree_bounded_by_cap():
@@ -242,6 +298,44 @@ def test_graph_file_errors():
         read_graph("IMLG-GRAPH v1\nN 2 D 0\nEDGE 1 0 residual\n")
     with pytest.raises(GraphFormatError, match="missing FEAT"):
         read_graph("IMLG-GRAPH v1\nN 2 D 1\nFEAT 0 1.0\n")
+
+
+@pytest.mark.parametrize(
+    "text,message,line",
+    [
+        ("N 3 D 0\nEDGE 0 1 congeneric\nEDGE 1 2 residual\nEDGE 0 1 residual\n",
+         "repeated EDGE line", 5),
+        ("N 3 D 0\nLABEL 0 1\nLABEL 2 0\n", "missing LABEL line for node 1", 3),
+        ("N 2 D 0\nLABEL 0 1\nLABEL 1 0\nLABEL 0 0\n", "second LABEL line for node 0", 5),
+        ("N 2 D 0\nCLUSTER 1 0\n", "missing CLUSTER line for node 0", 3),
+        ("N 2 D 1\nFEAT 0 1.0\nFEAT 1 nan\n", "non-finite FEAT value for node 1", 4),
+        ("N 2 D 1\nFEAT 0 inf\nFEAT 1 0.5\n", "non-finite FEAT value for node 0", 3),
+        ("N 2 D 0\nEDGE 0 x congeneric\n", "bad EDGE line", 3),
+        ("N 2 D 0\nLABEL 0\n", "expected 'LABEL", 3),
+        ("N two D 0\n", "bad N line", 2),
+        ("N 2 D 0\nN 3 D 0\n", "second size line", 3),
+    ],
+)
+def test_graph_reader_rejects_with_line_number(text, message, line):
+    with pytest.raises(GraphFormatError, match=message) as err:
+        read_graph("IMLG-GRAPH v1\n" + text)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: ")
+
+
+# sha256 of write_graph(build_graph(...)), recorded before the congeneric and
+# residual rules moved onto imlg.spatial
+GOLDEN_GRAPH_DIGESTS = {
+    (600, 199): "115189349f9d4629a60c48ab04304d2cea0ad07d2e56efbe55b3ac152e325917",
+    (1250, 103): "39bc75f8036d2a74884840ffcdea1f595619877cecc2a9ab30b99e9a824f881d",
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(GOLDEN_GRAPH_DIGESTS))
+def test_graph_bytes_match_golden_digest(n, seed):
+    design, labels = generate_labeled(GenConfig(n_instances=n, seed=seed))
+    text = write_graph(build_graph(design, labels))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_GRAPH_DIGESTS[(n, seed)]
 
 
 def test_parse_design_then_build_matches_direct_build():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,24 @@ def test_zero_intensity_is_flatter_than_any_hotspot_run():
     flat = median_var(0.0)
     for intensity in (0.5, 1.0):
         assert flat < median_var(intensity)
+
+
+# sha256 of write_design + write_labels, recorded before neighbor queries
+# moved to imlg.spatial: the generator's output must not change with it
+GOLDEN_DESIGN_DIGESTS = {
+    (300, 5): "f64555b041d4413e8b0fba331ca616be0aea8b60c9dfa8e5d85ab7b61ba46084",
+    (600, 199): "ecebda11952de6476d25afba7315e914754193ba4906750344752be9b4d53ff6",
+    (1250, 100): "92b116fdd58e81ecb326cd67d6e9c5699f58bf3dab3baca3311040c48ca205e9",
+    (1250, 103): "3361b23094f39df2580815a04998659e178367f126d27a4deb950a682eb4b570",
+    (2500, 100): "4886fbbbddd054f20322625cd9a30cebd8fb62bdb77e10232d2d290e9f7f310b",
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(GOLDEN_DESIGN_DIGESTS))
+def test_generated_bytes_match_golden_digest(n, seed):
+    design, labels = generate_labeled(GenConfig(n_instances=n, seed=seed))
+    text = write_design(design) + write_labels(labels)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DESIGN_DIGESTS[(n, seed)]
 
 
 def test_minority_targeting_at_scale():

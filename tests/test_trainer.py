@@ -171,6 +171,25 @@ def test_predictions_roundtrip():
     assert np.array_equal(l2, labels)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("a,0.5,1\nb,1.7,1\n", "line 2: probability 1.7 for b not in"),
+        ("a,-2,0\n", "line 1: probability -2.0 for a not in"),
+        ("a,nan,0\n", "line 1: probability nan"),
+        ("a,inf,0\n", "line 1: probability inf"),
+        ("a,0.5,2\n", "line 1: label 2 for a not in"),
+        ("a,0.5,1\n\nb,0.2,0\na,0.3,0\n", "line 4: duplicate prediction for a"),
+        ("a,x,1\n", "line 1: non-numeric field"),
+        ("a,0.5,yes\n", "line 1: non-numeric field"),
+        ("a,0.5\n", "line 1: expected 'name,probability,label'"),
+    ],
+)
+def test_read_predictions_rejects_bad_rows(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_predictions(text)
+
+
 def test_clusters_cover_all_nodes():
     from imlg.partition import partition_graph
 
