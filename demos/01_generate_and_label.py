@@ -4,7 +4,9 @@ Walks through the design text format, the imbalance targeting, and what
 the rule-based legalizer considers a packing failure.
 """
 
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 from imlg import GenConfig, generate_labeled, write_design, write_labels
 
@@ -39,6 +41,8 @@ coolest = min(per_cell, key=per_cell.get)
 print(f"a sparse cell {coolest}: {per_cell[coolest]} instances, "
       f"{unpacked_cells.get(coolest, 0)} unpacked")
 
-open("/tmp/demo01.design", "w").write(text)
-open("/tmp/demo01.labels", "w").write(write_labels(labels))
-print("\nwrote /tmp/demo01.design and /tmp/demo01.labels")
+with tempfile.TemporaryDirectory() as tmp:
+    design_path, labels_path = Path(tmp, "demo01.design"), Path(tmp, "demo01.labels")
+    design_path.write_text(text)
+    labels_path.write_text(write_labels(labels))
+    print(f"\nwrote {design_path} and {labels_path} (removed on exit)")

@@ -5,7 +5,9 @@ to the naive per-net clique expansion, and the structure of the type +
 region feature rows.
 """
 
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -40,8 +42,10 @@ print(f"                 region code    {row[6:].astype(int).tolist()}")
 print("every row has region_depth + 1 ones:",
       bool((graph.features.sum(axis=1) == 5).all()))
 
-text = write_graph(graph)
-open("/tmp/demo02.graph", "w").write(text)
-back = read_graph(text)
-print(f"\ngraph file round-trips: {back.edges == graph.edges} "
-      f"({len(text.splitlines())} lines, /tmp/demo02.graph)")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp, "demo02.graph")
+    path.write_text(write_graph(graph))
+    text = path.read_text()
+    back = read_graph(text)
+    print(f"\ngraph file round-trips: {back.edges == graph.edges} "
+          f"({len(text.splitlines())} lines, {path}, removed on exit)")

@@ -2,8 +2,13 @@
 
 Only the primitives the model needs: matmul, transpose, elementwise
 add/sub/mul, column concatenation, relu, sigmoid, row log-softmax, full
-sum, and scaling by a python float. Every op checks its output for
-NaN/Inf and raises NonFiniteError immediately.
+sum, scaling by a python float, and constant linear operators applied
+through `linear`. Every op checks its output for NaN/Inf and raises
+NonFiniteError immediately.
+
+An op output that needs no gradient is a plain constant: it keeps neither
+its inputs nor a backward closure, so a computation over constants only
+(inference) frees each intermediate as soon as nothing refers to it.
 """
 
 from __future__ import annotations
@@ -24,14 +29,11 @@ def _check(data: np.ndarray, op: str) -> np.ndarray:
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward", "requires_grad")
 
-    def __init__(self, data, parents=(), backward=None, requires_grad=None):
+    def __init__(self, data, parents=(), backward=None, requires_grad=True):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self._parents = parents
         self._backward = backward
-        if requires_grad is None:
-            # explicit leaves participate in gradients; op outputs inherit
-            requires_grad = any(p.requires_grad for p in parents) if parents else True
         self.requires_grad = requires_grad
 
     @property
@@ -42,8 +44,9 @@ class Tensor:
         self.grad = g if self.grad is None else self.grad + g
 
     def backward(self):
-        """Accumulate gradients into every reachable tensor. Each call is
-        self-contained: grads in this subgraph are reset first."""
+        """Accumulate gradients into every reachable leaf. Each call is
+        self-contained: grads in this subgraph are reset first, and an
+        interior node's gradient is dropped once it has been passed on."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
         topo: list[Tensor] = []
@@ -66,6 +69,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -92,6 +96,29 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else const(x)
 
 
+def _result(data: np.ndarray, parents: tuple, backward, op: str | None = None) -> Tensor:
+    """Op output, checked when `op` names it; only an output that needs a
+    gradient keeps its parents and backward closure."""
+    if op is not None:
+        _check(data, op)
+    if not any(p.requires_grad for p in parents):
+        return const(data)
+    return Tensor(data, parents, backward)
+
+
+def unary(a, data: np.ndarray, op: str, vjp) -> Tensor:
+    """Output `data` of a user-defined op on `a`: backward passes vjp(g),
+    the upstream gradient g pulled back through the op, on to `a`."""
+    a = _wrap(a)
+    return _result(data, (a,), lambda g: a._accum(vjp(g)), op)
+
+
+def linear(op, x) -> Tensor:
+    """op applied to x, for a constant linear operator with methods
+    `apply(x)` and `apply_t(g)` (its transpose)."""
+    return unary(x, op.apply(_wrap(x).data), "linear", op.apply_t)
+
+
 def _shape_match(a: Tensor, b: Tensor, op: str):
     if a.data.shape != b.data.shape:
         raise ValueError(f"shape mismatch in {op}: {a.data.shape} vs {b.data.shape}")
@@ -101,8 +128,6 @@ def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.data.shape[-1] != b.data.shape[0]:
         raise ValueError(f"shape mismatch in matmul: {a.data.shape} @ {b.data.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = Tensor(_check(a.data @ b.data, "matmul"), (a, b))
 
     def backward(g):
         if a.requires_grad:
@@ -110,22 +135,18 @@ def matmul(a, b) -> Tensor:
         if b.requires_grad:
             b._accum(a.data.T @ g)
 
-    out._backward = backward
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _result(a.data @ b.data, (a, b), backward, "matmul")
 
 
 def transpose(a) -> Tensor:
     a = _wrap(a)
-    out = Tensor(a.data.T, (a,))
-    out._backward = lambda g: a.requires_grad and a._accum(g.T)
-    return out
+    return _result(a.data.T, (a,), lambda g: a._accum(g.T))
 
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _shape_match(a, b, "add")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = Tensor(_check(a.data + b.data, "add"), (a, b))
 
     def backward(g):
         if a.requires_grad:
@@ -133,15 +154,13 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b._accum(g)
 
-    out._backward = backward
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _result(a.data + b.data, (a, b), backward, "add")
 
 
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _shape_match(a, b, "sub")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = Tensor(_check(a.data - b.data, "sub"), (a, b))
 
     def backward(g):
         if a.requires_grad:
@@ -149,15 +168,13 @@ def sub(a, b) -> Tensor:
         if b.requires_grad:
             b._accum(-g)
 
-    out._backward = backward
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _result(a.data - b.data, (a, b), backward, "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _shape_match(a, b, "mul")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = Tensor(_check(a.data * b.data, "mul"), (a, b))
 
     def backward(g):
         if a.requires_grad:
@@ -165,16 +182,14 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             b._accum(g * a.data)
 
-    out._backward = backward
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _result(a.data * b.data, (a, b), backward, "mul")
 
 
 def scale(a, c: float) -> Tensor:
     a = _wrap(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = Tensor(_check(a.data * c, "scale"), (a,))
-    out._backward = lambda g: a.requires_grad and a._accum(g * c)
-    return out
+        return _result(a.data * c, (a,), lambda g: a._accum(g * c), "scale")
 
 
 def concat_cols(parts: list) -> Tensor:
@@ -182,7 +197,6 @@ def concat_cols(parts: list) -> Tensor:
     rows = {p.data.shape[0] for p in parts}
     if len(rows) != 1:
         raise ValueError(f"shape mismatch in concat_cols: rows {sorted(rows)}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1), tuple(parts))
     widths = [p.data.shape[1] for p in parts]
 
     def backward(g):
@@ -192,45 +206,49 @@ def concat_cols(parts: list) -> Tensor:
                 p._accum(g[:, at : at + w])
             at += w
 
-    out._backward = backward
-    return out
+    return _result(np.concatenate([p.data for p in parts], axis=1), tuple(parts), backward)
 
 
 def relu(a) -> Tensor:
     a = _wrap(a)
-    out = Tensor(np.maximum(a.data, 0.0), (a,))
-    out._backward = lambda g: a.requires_grad and a._accum(g * (a.data > 0.0))
-    return out
+    return _result(np.maximum(a.data, 0.0), (a,), lambda g: a._accum(g * (a.data > 0.0)))
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(x >= 0, 1.0, e)  # 1 / (1 + e) or e / (1 + e)
+    out /= 1.0 + e
+    return out
 
 
 def sigmoid(a) -> Tensor:
     a = _wrap(a)
     s = stable_sigmoid(a.data)
-    out = Tensor(_check(s, "sigmoid"), (a,))
-    out._backward = lambda g: a.requires_grad and a._accum(g * s * (1.0 - s))
-    return out
+
+    def backward(g):
+        d = 1.0 - s  # the one temporary: g * s * (1 - s) in place
+        d *= s
+        d *= g
+        a._accum(d)
+
+    return _result(s, (a,), backward, "sigmoid")
 
 
 def log_softmax_rows(a) -> Tensor:
     a = _wrap(a)
     z = a.data - a.data.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    out = Tensor(_check(logp, "log_softmax_rows"), (a,))
     softmax = np.exp(logp)
-    out._backward = lambda g: a.requires_grad and a._accum(g - softmax * g.sum(axis=1, keepdims=True))
-    return out
+
+    def backward(g):
+        a._accum(g - softmax * g.sum(axis=1, keepdims=True))
+
+    return _result(logp, (a,), backward, "log_softmax_rows")
 
 
 def sum_all(a) -> Tensor:
     a = _wrap(a)
-    out = Tensor(np.array(a.data.sum()), (a,))
-    out._backward = lambda g: a.requires_grad and a._accum(np.full_like(a.data, float(g)))
-    return out
+    return _result(np.array(a.data.sum()), (a,), lambda g: a._accum(np.full_like(a.data, float(g))))
 
 
 def finite_difference(fn, arrays: dict, h: float = 1e-5) -> dict:

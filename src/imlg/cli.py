@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from .design import (
-    DesignError,
     parse_design,
     parse_labels,
     read_label_lines,
@@ -131,6 +130,15 @@ def _hyper(cfg: dict) -> HyperParams:
     )
 
 
+def _read(path: str, parse, *args):
+    """parse(text of the file at path, *args); a format error names the file."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return parse(text, *args)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
 def cmd_gen(ns) -> int:
     cfg = _effective_config(ns)
     _print_config(cfg)
@@ -156,10 +164,10 @@ def cmd_gen(ns) -> int:
 def cmd_build_graph(ns) -> int:
     cfg = _effective_config(ns)
     _print_config(cfg)
-    design = parse_design(Path(ns.design).read_text(encoding="utf-8"))
+    design = _read(ns.design, parse_design)
     labels = None
     if ns.labels:
-        labels = parse_labels(Path(ns.labels).read_text(encoding="utf-8"), design)
+        labels = _read(ns.labels, parse_labels, design)
     graph = build_graph(
         design,
         labels,
@@ -177,7 +185,7 @@ def cmd_build_graph(ns) -> int:
 def cmd_train(ns) -> int:
     cfg = _effective_config(ns)
     _print_config(cfg)
-    graph = read_graph(Path(ns.graph).read_text(encoding="utf-8"))
+    graph = _read(ns.graph, read_graph)
     if graph.labels is None:
         raise ValueError(f"{ns.graph}: graph file has no LABEL lines; train needs labels")
     hp = _hyper(cfg)
@@ -203,11 +211,11 @@ def cmd_train(ns) -> int:
 def cmd_infer(ns) -> int:
     cfg = _effective_config(ns)
     _print_config(cfg)
-    graph = read_graph(Path(ns.graph).read_text(encoding="utf-8"))
-    params, _hp = load_checkpoint(Path(ns.ckpt).read_text(encoding="utf-8"))
+    graph = _read(ns.graph, read_graph)
+    params, _hp = _read(ns.ckpt, load_checkpoint)
     names = graph.names
     if ns.design:
-        design = parse_design(Path(ns.design).read_text(encoding="utf-8"))
+        design = _read(ns.design, parse_design)
         names = sorted(inst.name for inst in design.instances)
         if len(names) != graph.n:
             raise ValueError(
@@ -222,11 +230,8 @@ def cmd_infer(ns) -> int:
 def cmd_eval(ns) -> int:
     cfg = _effective_config(ns)
     _print_config(cfg)
-    names, probs, _pred_labels = read_predictions(Path(ns.pred).read_text(encoding="utf-8"))
-    try:
-        truth = read_label_lines(Path(ns.labels).read_text(encoding="utf-8"))
-    except DesignError as err:
-        raise ValueError(f"{ns.labels}: {err}") from None
+    names, probs, _pred_labels = _read(ns.pred, read_predictions)
+    truth = _read(ns.labels, read_label_lines)
     missing = [nm for nm in names if nm not in truth]
     if missing:
         raise ValueError(f"{ns.labels}: no label for predicted instance {missing[0]}")

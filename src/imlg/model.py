@@ -1,4 +1,4 @@
-"""Imbalance-aware graph model over dense batch adjacencies.
+"""Imbalance-aware graph model over sparse batch adjacencies.
 
 Pipeline per batch: a one-layer encoder over CONCAT(self, neighbor mean,
 neighbor mean - self), minority oversampling in embedding space, a
@@ -8,6 +8,13 @@ SAGE-style classifier on the augmented graph, and two losses:
 * reconstruction: squared error of the soft edge scores against the real
   adjacency, with entries that are edges weighted by eta > 1;
 * classification: mean negative log-likelihood on the augmented nodes.
+
+Neighbor means go through `sparse.MeanAggregation` as a constant linear
+operator, on the batch's CSR adjacency in the encoder and on the real CSR
+plus the synthetic 0/1 rows in the classifier; inference runs the same
+`encode` and `classify` on the whole graph. The only dense pairwise arrays
+are the n x n reconstruction scores of the real nodes and the m x (n+m)
+synthetic rows, so a step holds O(n^2 + m (n+m)) floats.
 
 Gradient routing is structural: the classifier consumes the thresholded
 adjacency as a constant, so the decoder weight only ever sees the
@@ -24,6 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .optim import ParamStore
+from .sparse import Adjacency, AugmentedAdjacency, MeanAggregation
 
 
 @dataclass(frozen=True)
@@ -34,7 +42,6 @@ class HyperParams:
     smote_k: int = 5
     edge_threshold: float = 0.5
     oversample_to_balance: bool = True
-    soft_synthetic_edges: bool = False  # classifier sees scores, not 0/1 edges
 
     def __post_init__(self):
         if self.hidden_dim < 1:
@@ -67,23 +74,17 @@ def init_params(feature_dim: int, hp: HyperParams, seed: int = 0) -> ParamStore:
     return store
 
 
-def mean_aggregation_matrix(a: np.ndarray) -> np.ndarray:
-    """Row-normalized adjacency; rows of isolated nodes stay zero."""
-    deg = a.sum(axis=1)
-    scale = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
-    return a * scale[:, None]
-
-
-def encode(a: np.ndarray, x, w1, activation=ad.relu, agg: np.ndarray | None = None) -> Tensor:
-    """Embeddings: relu(CONCAT(X, X_N, X_N - X) @ W1) with X_N the
-    neighbor feature mean (zero vector for isolated nodes). `agg` may
-    carry a precomputed row-normalized adjacency."""
+def _sage(a: Adjacency | AugmentedAdjacency, x, w, activation) -> Tensor:
+    """activation(CONCAT(X, X_N, X_N - X) @ W) with X_N the neighbor mean
+    of X (zero vector for isolated nodes)."""
     xt = x if isinstance(x, Tensor) else ad.const(x)
-    if agg is None:
-        agg = mean_aggregation_matrix(np.asarray(a, dtype=np.float64))
-    xn = ad.matmul(ad.const(agg), xt)
-    stacked = ad.concat_cols([xt, xn, ad.sub(xn, xt)])
-    return activation(ad.matmul(stacked, w1))
+    xn = ad.linear(MeanAggregation(a), xt)
+    return activation(ad.matmul(ad.concat_cols([xt, xn, ad.sub(xn, xt)]), w))
+
+
+def encode(a: Adjacency, x, w1, activation=ad.relu) -> Tensor:
+    """Embeddings: relu(CONCAT(X, X_N, X_N - X) @ W1)."""
+    return _sage(a, x, w1, activation)
 
 
 @dataclass
@@ -128,17 +129,31 @@ def smote_oversample(
     return SmotePlan(parents)
 
 
+class _SmoteRows:
+    """z -> z with the synthetic rows (1-delta) z_a + delta z_b appended,
+    as a constant linear operator."""
+
+    def __init__(self, plan: SmotePlan):
+        a, b, delta = zip(*plan.parents)
+        self.a, self.b = np.array(a), np.array(b)
+        self.delta = np.array(delta)[:, None]
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        return np.concatenate([z, (1.0 - self.delta) * z[self.a] + self.delta * z[self.b]])
+
+    def apply_t(self, g: np.ndarray) -> np.ndarray:
+        n = len(g) - len(self.a)
+        out = g[:n].copy()
+        np.add.at(out, self.a, (1.0 - self.delta) * g[n:])
+        np.add.at(out, self.b, self.delta * g[n:])
+        return out
+
+
 def apply_smote(z: Tensor, plan: SmotePlan) -> Tensor:
     """Augmented embeddings: synthetic row t = (1-delta) z_a + delta z_b."""
     if plan.m == 0:
         return z
-    n = z.data.shape[0]
-    combine = np.zeros((n + plan.m, n))
-    combine[:n, :n] = np.eye(n)
-    for t, (a, b, delta) in enumerate(plan.parents):
-        combine[n + t, a] += 1.0 - delta
-        combine[n + t, b] += delta
-    return ad.matmul(ad.const(combine), z)
+    return ad.linear(_SmoteRows(plan), z)
 
 
 def decode_scores(z_tilde, s) -> Tensor:
@@ -149,44 +164,33 @@ def decode_scores(z_tilde, s) -> Tensor:
 
 
 def decode_adjacency(
-    z_tilde: np.ndarray, s: np.ndarray, a_real: np.ndarray, tau: float, return_scores: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Binary augmented adjacency: entries touching synthetic nodes are
-    1 iff score > tau, the real-real block is the input adjacency
-    verbatim, symmetrized by max, zero diagonal. Returns (adjacency,
-    full soft scores, or None when not requested). Plain arrays; the
-    classifier treats this as a constant.
+    z_tilde: np.ndarray, s: np.ndarray, a_real: Adjacency, tau: float
+) -> AugmentedAdjacency:
+    """Binary augmented adjacency: the real block is `a_real` verbatim, an
+    entry touching a synthetic node is 1 iff its score exceeds tau in
+    either direction (symmetrized by max), zero diagonal. A constant for
+    the classifier.
 
-    Thresholding happens in logit space (sigmoid is monotone), so the
-    scores themselves are only computed on demand; without them only the
-    synthetic rows/columns of the logit matrix are materialized."""
-    n = a_real.shape[0]
-    total = z_tilde.shape[0]
+    Thresholding happens in logit space (sigmoid is monotone), and only the
+    synthetic rows are computed: (Z_s S Z^T > logit tau) | (Z_s S^T Z^T >
+    logit tau), the second as the transpose of Z S Z_s^T."""
+    n = a_real.n
     logit_tau = np.log(tau / (1.0 - tau))
-    scores = None
-    if return_scores:
-        logits = z_tilde @ s @ z_tilde.T
-        binary = logits > logit_tau
-        scores = ad.stable_sigmoid(logits)
-    else:
-        binary = np.zeros((total, total), dtype=bool)
-        if total > n:
-            zs = z_tilde @ s
-            binary[n:, :] = zs[n:] @ z_tilde.T > logit_tau
-            binary[:, n:] = zs @ z_tilde[n:].T > logit_tau
-    a_aug = np.maximum(binary, binary.T).astype(np.float64)
-    a_aug[:n, :n] = a_real
-    np.fill_diagonal(a_aug, 0.0)
-    return a_aug, scores
+    zs = z_tilde @ s
+    rows = zs[n:] @ z_tilde.T > logit_tau
+    rows |= (zs @ z_tilde[n:].T).T > logit_tau
+    synthetic = rows.astype(np.float64)
+    m = len(synthetic)
+    synthetic[np.arange(m), n + np.arange(m)] = 0.0
+    return AugmentedAdjacency(a_real, synthetic)
 
 
-def classify(a_aug: np.ndarray, z_tilde, w_agg, w_head) -> tuple[Tensor, np.ndarray]:
+def classify(
+    a_aug: Adjacency | AugmentedAdjacency, z_tilde, w_agg, w_head
+) -> tuple[Tensor, np.ndarray]:
     """SAGE-style layer over the augmented graph plus a linear head and
     row log-softmax. Returns (log-probabilities tensor, probabilities)."""
-    zt = z_tilde if isinstance(z_tilde, Tensor) else ad.const(z_tilde)
-    m = ad.const(mean_aggregation_matrix(np.asarray(a_aug, dtype=np.float64)))
-    zn = ad.matmul(m, zt)
-    hidden = ad.relu(ad.matmul(ad.concat_cols([zt, zn, ad.sub(zn, zt)]), w_agg))
+    hidden = _sage(a_aug, z_tilde, w_agg, ad.relu)
     logits = ad.matmul(hidden, w_head)
     logp = ad.log_softmax_rows(logits)
     return logp, np.exp(logp.data)
@@ -197,19 +201,26 @@ def predicted_labels(probs: np.ndarray) -> np.ndarray:
     return (probs[:, 1] > probs[:, 0]).astype(np.int64)
 
 
-def reconstruction_weights(a: np.ndarray, eta: float) -> np.ndarray:
-    """eta where an edge exists, 1 elsewhere, 0 on the diagonal."""
-    w = np.where(a != 0, eta, 1.0)
-    np.fill_diagonal(w, 0.0)
-    return w
-
-
-def loss_rec(a: np.ndarray, scores: Tensor, eta: float) -> Tensor:
+def loss_rec(a: Adjacency, scores: Tensor, eta: float) -> Tensor:
     """Penalty-weighted squared reconstruction error on the real block,
-    diagonal excluded: sum of (w_ij (a_ij - score_ij))^2."""
-    w = ad.const(reconstruction_weights(a, eta))
-    diff = ad.mul(ad.sub(ad.const(a), scores), w)
-    return ad.sum_all(ad.mul(diff, diff))
+    diagonal excluded: sum of (w_ij (a_ij - s_ij))^2 with w = eta on edges
+    and 1 elsewhere. One op on the dense scores s, summed as
+    sum s^2 - sum diag(s)^2 - sum_edges s^2 + eta^2 sum_edges (1 - s)^2."""
+    s = scores.data
+    rows, cols = a.rows, a.indices
+    on_edges = s[rows, cols]
+    diag = np.diagonal(s)
+    miss = 1.0 - on_edges
+    value = np.vdot(s, s) - np.vdot(diag, diag) - np.vdot(on_edges, on_edges)
+    value += eta * eta * np.vdot(miss, miss)
+
+    def vjp(g):
+        grad = (2.0 * float(g)) * s
+        np.fill_diagonal(grad, 0.0)
+        grad[rows, cols] = (-2.0 * eta * eta * float(g)) * miss
+        return grad
+
+    return ad.unary(scores, np.array(value), "loss_rec", vjp)
 
 
 def loss_clf(logp: Tensor, y: np.ndarray) -> Tensor:
@@ -231,7 +242,7 @@ class FrozenChoices:
     recomputing them from the current embeddings."""
 
     plan: SmotePlan
-    a_aug: np.ndarray | None
+    a_aug: AugmentedAdjacency | None
 
 
 @dataclass
@@ -242,7 +253,7 @@ class ForwardResult:
     probs: np.ndarray  # class probabilities for all augmented nodes
     y_aug: np.ndarray
     plan: SmotePlan
-    a_aug: np.ndarray | None
+    a_aug: AugmentedAdjacency | None
     z: np.ndarray
     z_aug: np.ndarray
 
@@ -256,7 +267,7 @@ class ForwardResult:
 
 
 def forward(
-    a: np.ndarray,
+    a: Adjacency,
     x: np.ndarray,
     y: np.ndarray,
     params: ParamStore,
@@ -264,13 +275,12 @@ def forward(
     rng=None,
     baseline: bool = False,
     frozen: FrozenChoices | None = None,
-    enc_agg: np.ndarray | None = None,
 ) -> ForwardResult:
     """One full training-mode pass over a batch. In baseline mode the
     oversampling and decoder stages are skipped entirely and the
     reconstruction loss is reported as zero."""
     w1 = params.get("Enc", "W1")
-    z = encode(a, x, w1, agg=enc_agg)
+    z = encode(a, x, w1)
     if baseline:
         logp, probs = classify(a, z, params.get("Clf", "W_agg"), params.get("Clf", "W_head"))
         l_clf = loss_clf(logp, y)
@@ -298,20 +308,8 @@ def forward(
     l_rec = loss_rec(a, scores_real, hp.eta)
     if frozen is not None and frozen.a_aug is not None:
         a_aug = frozen.a_aug
-    elif hp.soft_synthetic_edges:
-        a_aug, scores = decode_adjacency(
-            z_aug.data, s.data, np.asarray(a, dtype=np.float64), hp.edge_threshold
-        )
-        # keep soft weights where the binary decode placed synthetic edges;
-        # still a constant for the classifier, so routing is unchanged
-        a_aug = a_aug * np.maximum(scores, scores.T)
-        n_real = len(y)
-        a_aug[:n_real, :n_real] = np.asarray(a, dtype=np.float64)
     else:
-        a_aug, _ = decode_adjacency(
-            z_aug.data, s.data, np.asarray(a, dtype=np.float64), hp.edge_threshold,
-            return_scores=False,
-        )
+        a_aug = decode_adjacency(z_aug.data, s.data, a, hp.edge_threshold)
     logp, probs = classify(a_aug, z_aug, params.get("Clf", "W_agg"), params.get("Clf", "W_head"))
     l_clf = loss_clf(logp, y_aug)
     objective = total_objective(l_clf, l_rec, hp.lam)

@@ -2,9 +2,10 @@
 
 Training partitions the graph, then per epoch visits the clusters in a
 seeded random order, taking one optimizer step per batch on the induced
-subgraph (cross-cluster edges are dropped). Inference runs the encoder
-and classifier over the raw graph with no oversampling or decoding, so
-it scales by edges rather than by dense adjacency.
+subgraph (cross-cluster edges are dropped), cut as a CSR adjacency out of
+the whole graph's. Inference runs the same encoder and classifier over the
+whole graph's adjacency with no oversampling or decoding, so it scales by
+edges.
 """
 
 from __future__ import annotations
@@ -14,17 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import NonFiniteError
 from .graphs import CircuitGraph
-from .model import (
-    HyperParams,
-    forward,
-    init_params,
-    mean_aggregation_matrix,
-    predicted_labels,
-)
+from .model import HyperParams, classify, encode, forward, init_params, predicted_labels
 from .optim import Adam, ParamStore
 from .partition import partition_graph
+from .sparse import Adjacency
 
 
 class CheckpointError(ValueError):
@@ -77,17 +74,6 @@ def _labels_vector(graph: CircuitGraph, labels) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-def _batch_adjacency(graph: CircuitGraph, nodes: np.ndarray) -> np.ndarray:
-    local = {int(g): i for i, g in enumerate(nodes)}
-    a = np.zeros((len(nodes), len(nodes)))
-    for li, g in enumerate(nodes):
-        for j in graph.adj[int(g)]:
-            lj = local.get(int(j))
-            if lj is not None and lj > li:
-                a[li, lj] = a[lj, li] = 1.0
-    return a
-
-
 def train(
     graph: CircuitGraph,
     labels=None,
@@ -107,7 +93,8 @@ def train(
     adam = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng([cfg.seed, 2])
     log = TrainLog(seed=cfg.seed)
-    batch_cache: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    whole = Adjacency.from_lists(graph.adj)
+    batch_cache: dict[tuple, tuple[np.ndarray, Adjacency]] = {}
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(part.k)
         for at in range(0, part.k, cfg.clusters_per_batch):
@@ -115,9 +102,8 @@ def train(
             key = tuple(sorted(int(c) for c in group))
             if key not in batch_cache:
                 nodes = np.sort(np.concatenate([cluster_nodes[c] for c in group]))
-                a = _batch_adjacency(graph, nodes)
-                batch_cache[key] = (nodes, a, mean_aggregation_matrix(a))
-            nodes, a, enc_agg = batch_cache[key]
+                batch_cache[key] = (nodes, whole.subgraph(nodes))
+            nodes, a = batch_cache[key]
             try:
                 res = forward(
                     a,
@@ -127,7 +113,6 @@ def train(
                     hp,
                     rng=rng,
                     baseline=cfg.baseline_mode,
-                    enc_agg=enc_agg,
                 )
                 params.zero_grads()
                 res.objective.backward()
@@ -142,25 +127,15 @@ def train(
             log.rows.append(
                 (epoch, int(group[0]), res.l_clf, res.l_rec, float(res.objective.data))
             )
+            del res, grads  # free this step's graph before the next forward
     log.wall_clock = time.monotonic() - start
     return params, log
 
 
-def _neighbor_mean(adj: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    for i, nb in enumerate(adj):
-        if len(nb):
-            out[i] = x[nb].mean(axis=0)
-    return out
-
-
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def infer(graph: CircuitGraph, params: ParamStore) -> tuple[np.ndarray, np.ndarray]:
     """Minority-class probability and argmax label per node, running the
-    encoder and classifier over the raw graph only."""
+    encoder and classifier over the raw graph only. The weights enter as
+    constants, so no op keeps its inputs for a backward pass."""
     if graph.features is None:
         raise ValueError("graph carries no features")
     w1 = params.get("Enc", "W1").data
@@ -169,15 +144,10 @@ def infer(graph: CircuitGraph, params: ParamStore) -> tuple[np.ndarray, np.ndarr
             f"feature dimension mismatch: graph has {graph.features.shape[1]}, "
             f"checkpoint expects {w1.shape[0] // 3}"
         )
-    x = graph.features
-    xn = _neighbor_mean(graph.adj, x)
-    z = _relu(np.concatenate([x, xn, xn - x], axis=1) @ w1)
-    zn = _neighbor_mean(graph.adj, z)
-    hidden = _relu(np.concatenate([z, zn, zn - z], axis=1) @ params.get("Clf", "W_agg").data)
-    logits = hidden @ params.get("Clf", "W_head").data
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
+    adj = Adjacency.from_lists(graph.adj)
+    z = encode(adj, graph.features, ad.const(w1))
+    weights = (ad.const(params.get("Clf", name).data) for name in ("W_agg", "W_head"))
+    _logp, probs = classify(adj, z, *weights)
     return probs[:, 1], predicted_labels(probs)
 
 
@@ -191,8 +161,9 @@ _HP_FIELDS = (
     ("smote_k", int),
     ("edge_threshold", float),
     ("oversample_to_balance", bool),
-    ("soft_synthetic_edges", bool),
 )
+# written as 0 by earlier versions; only the 0/1 synthetic decoder remains
+_RETIRED_HP = "soft_synthetic_edges"
 
 
 def _fmt(value: float) -> str:
@@ -233,6 +204,10 @@ def load_checkpoint(text: str) -> tuple[ParamStore, HyperParams]:
             if len(tokens) != 3:
                 raise CheckpointError(f"bad HP line: {lines[at - 1]!r}")
             key = tokens[1]
+            if key == _RETIRED_HP:
+                if tokens[2] != "0":
+                    raise CheckpointError(f"{key} {tokens[2]} is no longer supported")
+                continue
             kinds = dict(_HP_FIELDS)
             if key not in kinds:
                 raise CheckpointError(f"unknown hyperparameter '{key}'")

@@ -36,6 +36,7 @@ from imlg.synth import GenConfig, generate_labeled
 from imlg.train import TrainConfig, infer, train
 
 from test_metrics import mann_whitney_auc
+from test_sparse import csr
 
 
 def _random_batch(seed, n=20, d=14, minority=5, edge_p=0.2):
@@ -57,14 +58,14 @@ def test_c01_gradient_correctness():
         a, x, y = _random_batch(seed)
         params = init_params(14, hp, seed=seed)
         rng = np.random.default_rng([seed, 77])
-        res = forward(a, x, y, params, hp, rng=rng)
+        res = forward(csr(a), x, y, params, hp, rng=rng)
         params.zero_grads()
         res.objective.backward()
         analytic = params.grads()
         frozen = FrozenChoices(plan=res.plan, a_aug=res.a_aug)
 
         def feval():
-            return float(forward(a, x, y, params, hp, frozen=frozen).objective.data)
+            return float(forward(csr(a), x, y, params, hp, frozen=frozen).objective.data)
 
         arrays = {key: params.get(*key).data for key in params.keys()}
         fd = finite_difference(feval, arrays, h=1e-5)
@@ -83,7 +84,7 @@ def test_c02_gradient_routing():
         a, x, y = _random_batch(seed + 50)
         hp = HyperParams(hidden_dim=8)
         params = init_params(14, hp, seed=seed)
-        res = forward(a, x, y, params, hp, rng=np.random.default_rng(seed))
+        res = forward(csr(a), x, y, params, hp, rng=np.random.default_rng(seed))
         # classification loss zeroed: only the reconstruction term remains
         params.zero_grads()
         ad.scale(res.rec_loss, hp.lam).backward()
@@ -128,9 +129,9 @@ def test_c03_smote_properties():
 
 def test_c04_reconstruction_loss_fixtures():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert float(loss_rec(a, ad.const(a), eta=10.0).data) == 0.0
+    assert float(loss_rec(csr(a), ad.const(a), eta=10.0).data) == 0.0
     scores = np.array([[0.0, 0.5], [0.5, 0.0]])
-    assert float(loss_rec(a, ad.const(scores), eta=2.0).data) == 2.0
+    assert float(loss_rec(csr(a), ad.const(scores), eta=2.0).data) == 2.0
     print("ACCEPTANCE 4 PASS: reconstruction loss fixtures exact")
 
 

@@ -135,3 +135,42 @@ def test_train_requires_labeled_graph(tmp_path, capsys):
     code = main(["train", "--graph", str(tmp_path / "g.graph"), "--out", str(tmp_path / "c")])
     assert code == 1
     assert "no LABEL lines" in capsys.readouterr().err
+
+
+def test_train_reader_error_names_the_graph_file(tmp_path, capsys):
+    base = run_pipeline(tmp_path, seed=7)
+    lines = (base / "d.graph").read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("EDGE"))
+    bad = tmp_path / "bad.graph"
+    bad.write_text("".join(lines[: at + 1] + [lines[at]] + lines[at + 1 :]))
+    code = main(["train", "--graph", str(bad), "--out", str(tmp_path / "c")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line {at + 2}: repeated EDGE line")
+
+
+def test_infer_reader_error_names_the_checkpoint_file(tmp_path, capsys):
+    base = run_pipeline(tmp_path, seed=1)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_text("IMLG-CKPT v0\n")
+    code = main(["infer", "--ckpt", str(bad), "--graph", str(base / "d.graph"),
+                 "--out", str(tmp_path / "p")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: expected header")
+
+
+def test_eval_reader_error_names_the_prediction_file(tmp_path, capsys):
+    pred = tmp_path / "p.pred"
+    pred.write_text("a,0.9,1\na,0.8,1\n")
+    (tmp_path / "t.labels").write_text("a 1\n")
+    code = main(["eval", "--pred", str(pred), "--labels", str(tmp_path / "t.labels")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {pred}: line 2: duplicate prediction for a")
+
+
+def test_build_graph_reader_error_names_the_design_file(tmp_path, capsys):
+    assert main(["gen", "--instances", "40", "--seed", "1", "--out", str(tmp_path / "g")]) == 0
+    bad = tmp_path / "bad.design"
+    bad.write_text((tmp_path / "g.design").read_text() + "WAT\n")
+    code = main(["build-graph", "--design", str(bad), "--out", str(tmp_path / "g.graph")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")

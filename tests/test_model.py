@@ -15,11 +15,13 @@ from imlg.model import (
     init_params,
     loss_clf,
     loss_rec,
-    mean_aggregation_matrix,
     predicted_labels,
     smote_oversample,
     total_objective,
 )
+from imlg.sparse import MeanAggregation
+
+from test_sparse import csr, dense
 
 
 def random_batch(seed, n=20, d=14, minority=5, edge_p=0.2):
@@ -54,14 +56,14 @@ def test_encode_identity_weights_fixture():
     # node 0 has neighbors 1 and 2: mean = [2, 1], diff = [1, 0]
     a = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=float)
     x = np.array([[1.0, 1.0], [1.0, 0.0], [3.0, 2.0]])
-    z = encode(a, x, ad.const(np.eye(6)), activation=lambda t: t)
+    z = encode(csr(a), x, ad.const(np.eye(6)), activation=lambda t: t)
     assert np.allclose(z.data[0], [1, 1, 2, 1, 1, 0])
 
 
 def test_encode_isolated_node_zero_neighbor_convention():
     a = np.zeros((1, 1))
     x = np.array([[2.0, -3.0]])
-    z = encode(a, x, ad.const(np.eye(6)), activation=lambda t: t)
+    z = encode(csr(a), x, ad.const(np.eye(6)), activation=lambda t: t)
     assert np.allclose(z.data[0], [2, -3, 0, 0, -2, 3])
 
 
@@ -80,7 +82,7 @@ def test_encode_matches_naive_loop():
     rng = np.random.default_rng(5)
     a, x, _y = random_batch(5)
     w1 = rng.normal(size=(3 * x.shape[1], 8))
-    z = encode(a, x, ad.const(w1))
+    z = encode(csr(a), x, ad.const(w1))
     assert np.max(np.abs(z.data - _encode_naive(a, x, w1))) <= 1e-12
 
 
@@ -134,15 +136,15 @@ def test_smote_balances_and_reconstructs_from_parents():
 
 def test_decode_orthogonal_embeddings_no_edge_at_half():
     z = np.array([[1.0, 0.0], [0.0, 1.0]])  # row 1 is synthetic
-    a_aug, scores = decode_adjacency(z, np.eye(2), np.zeros((1, 1)), tau=0.5)
-    assert scores[0, 1] == 0.5
+    a_aug = dense(decode_adjacency(z, np.eye(2), csr(np.zeros((1, 1))), tau=0.5))
+    assert decode_scores(Tensor(z), Tensor(np.eye(2))).data[0, 1] == 0.5
     assert a_aug[0, 1] == 0.0  # strict > tau
 
 
 def test_decode_aligned_embeddings_edge():
     z = np.array([[1.0, 1.0], [1.0, 1.0]])
-    a_aug, scores = decode_adjacency(z, np.eye(2), np.zeros((1, 1)), tau=0.5)
-    assert abs(scores[0, 1] - 0.8808) < 1e-4
+    a_aug = dense(decode_adjacency(z, np.eye(2), csr(np.zeros((1, 1))), tau=0.5))
+    assert abs(decode_scores(Tensor(z), Tensor(np.eye(2))).data[0, 1] - 0.8808) < 1e-4
     assert a_aug[0, 1] == 1.0 and a_aug[1, 0] == 1.0
     assert a_aug[0, 0] == 0.0 and a_aug[1, 1] == 0.0
 
@@ -152,7 +154,7 @@ def test_decode_preserves_real_block_bit_for_bit():
     a, _x, _y = random_batch(3, n=12)
     z_aug = rng.normal(size=(18, 6))
     s = rng.normal(size=(6, 6))
-    a_aug, _scores = decode_adjacency(z_aug, s, a, tau=0.5)
+    a_aug = dense(decode_adjacency(z_aug, s, csr(a), tau=0.5))
     assert np.array_equal(a_aug[:12, :12], a)
     assert np.array_equal(a_aug, a_aug.T)
     assert np.all(np.diag(a_aug) == 0)
@@ -164,7 +166,7 @@ def test_decode_preserves_real_block_bit_for_bit():
 
 def test_classifier_zero_weights_uniform_and_tie_to_class0():
     z = Tensor(np.array([[1.0, 2.0]]))
-    logp, probs = classify(np.zeros((1, 1)), z, ad.const(np.zeros((6, 4))), ad.const(np.zeros((4, 2))))
+    logp, probs = classify(csr(np.zeros((1, 1))), z, ad.const(np.zeros((6, 4))), ad.const(np.zeros((4, 2))))
     assert np.allclose(probs, [[0.5, 0.5]])
     assert predicted_labels(probs).tolist() == [0]
 
@@ -173,7 +175,7 @@ def test_classifier_rows_sum_to_one():
     rng = np.random.default_rng(9)
     a, _x, _y = random_batch(9, n=30, d=4)
     z = Tensor(rng.normal(size=(30, 8)))
-    _logp, probs = classify(a[:30, :30], z, ad.const(rng.normal(size=(24, 8))), ad.const(rng.normal(size=(8, 2))))
+    _logp, probs = classify(csr(a[:30, :30]), z, ad.const(rng.normal(size=(24, 8))), ad.const(rng.normal(size=(8, 2))))
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-9
 
 
@@ -196,7 +198,7 @@ def test_classifier_matches_naive_loop():
     z = rng.normal(size=(20, 8))
     w_agg = rng.normal(size=(24, 8))
     w_head = rng.normal(size=(8, 2))
-    _logp, probs = classify(a, Tensor(z), ad.const(w_agg), ad.const(w_head))
+    _logp, probs = classify(csr(a), Tensor(z), ad.const(w_agg), ad.const(w_head))
     assert np.max(np.abs(probs - _classify_naive(a, z, w_agg, w_head))) <= 1e-12
 
 
@@ -206,24 +208,24 @@ def test_classifier_matches_naive_loop():
 
 def test_loss_rec_zero_when_exact():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert float(loss_rec(a, ad.const(a), eta=10.0).data) == 0.0
+    assert float(loss_rec(csr(a), ad.const(a), eta=10.0).data) == 0.0
 
 
 def test_loss_rec_worked_fixture_exact():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     scores = np.array([[0.0, 0.5], [0.5, 0.0]])
-    assert float(loss_rec(a, ad.const(scores), eta=2.0).data) == 2.0
+    assert float(loss_rec(csr(a), ad.const(scores), eta=2.0).data) == 2.0
 
 
 def test_loss_rec_eta_increases_cost_iff_edges_mispredicted():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     missed = np.array([[0.0, 0.4], [0.4, 0.0]])
-    assert float(loss_rec(a, ad.const(missed), 10.0).data) > float(
-        loss_rec(a, ad.const(missed), 1.0).data
+    assert float(loss_rec(csr(a), ad.const(missed), 10.0).data) > float(
+        loss_rec(csr(a), ad.const(missed), 1.0).data
     )
     perfect_edges = np.array([[0.3, 1.0], [1.0, 0.3]])  # only diagonal off, excluded
-    assert float(loss_rec(a, ad.const(perfect_edges), 10.0).data) == pytest.approx(
-        float(loss_rec(a, ad.const(perfect_edges), 1.0).data)
+    assert float(loss_rec(csr(a), ad.const(perfect_edges), 10.0).data) == pytest.approx(
+        float(loss_rec(csr(a), ad.const(perfect_edges), 1.0).data)
     )
 
 
@@ -254,7 +256,7 @@ def _forward_with(seed, hp=None, **kw):
     hp = hp or HyperParams(hidden_dim=8)
     params = init_params(x.shape[1], hp, seed=seed)
     rng = np.random.default_rng([seed, 77])
-    return a, x, y, params, hp, forward(a, x, y, params, hp, rng=rng, **kw)
+    return a, x, y, params, hp, forward(csr(a), x, y, params, hp, rng=rng, **kw)
 
 
 def test_gradient_routing_is_structural():
@@ -295,7 +297,7 @@ def test_full_objective_matches_finite_differences():
     frozen = FrozenChoices(plan=res.plan, a_aug=res.a_aug)
 
     def feval():
-        return float(forward(a, x, y, params, hp, frozen=frozen).objective.data)
+        return float(forward(csr(a), x, y, params, hp, frozen=frozen).objective.data)
 
     arrays = {key: params.get(*key).data for key in params.keys()}
     fd = finite_difference(feval, arrays, h=1e-5)
@@ -308,7 +310,7 @@ def test_full_objective_matches_finite_differences():
 def test_forward_is_finite_and_preserves_real_block():
     a, _x, _y, _params, _hp, res = _forward_with(4)
     assert np.isfinite(float(res.objective.data))
-    assert np.array_equal(res.a_aug[:20, :20], a)
+    assert np.array_equal(dense(res.a_aug)[:20, :20], a)
     assert abs(int((res.y_aug == 0).sum()) - int((res.y_aug == 1).sum())) <= 1
 
 
@@ -316,7 +318,7 @@ def test_baseline_mode_has_no_decoder_path():
     a, x, y = random_batch(6)
     hp = HyperParams(hidden_dim=8)
     params = init_params(x.shape[1], hp, seed=6)
-    res = forward(a, x, y, params, hp, baseline=True)
+    res = forward(csr(a), x, y, params, hp, baseline=True)
     assert res.rec_loss is None and res.l_rec == 0.0
     params.zero_grads()
     res.objective.backward()
@@ -342,32 +344,10 @@ def test_hyperparams_validation():
 
 def test_mean_aggregation_matrix_rows():
     a = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=float)
-    m = mean_aggregation_matrix(a)
-    assert np.allclose(m.sum(axis=1), [1.0, 1.0, 1.0])
-    iso = mean_aggregation_matrix(np.zeros((2, 2)))
-    assert np.array_equal(iso, np.zeros((2, 2)))
-
-
-def test_soft_synthetic_edges_mode():
-    a, x, y = random_batch(21)
-    hp = HyperParams(hidden_dim=8, soft_synthetic_edges=True)
-    params = init_params(x.shape[1], hp, seed=21)
-    res = forward(a, x, y, params, hp, rng=np.random.default_rng(21))
-    n = len(y)
-    assert np.array_equal(res.a_aug[:n, :n], a)  # real block stays binary
-    synth_block = res.a_aug[n:, :]
-    assert synth_block.size > 0
-    nz = synth_block[synth_block > 0]
-    assert np.all((nz > 0.5) & (nz < 1.0))  # surviving edges carry soft weights
-    assert np.max(np.abs(res.probs.sum(axis=1) - 1.0)) <= 1e-9
-    params.zero_grads()
-    res.objective.backward()
-    grads = params.grads()
-    assert ("Dec", "S") in grads  # reconstruction path still reaches S
-    # ... but only through the reconstruction loss, never the classifier
-    params.zero_grads()
-    res.clf_loss.backward()
-    assert ("Dec", "S") not in params.grads()
+    m = MeanAggregation(csr(a))
+    assert np.allclose(m.apply(np.ones((3, 1)))[:, 0], [1.0, 1.0, 1.0])
+    iso = MeanAggregation(csr(np.zeros((2, 2))))
+    assert np.array_equal(iso.apply(np.eye(2)), np.zeros((2, 2)))
 
 
 def test_decode_scores_matches_manual_sigmoid():

@@ -190,3 +190,28 @@ def test_adam_untouched_params_stay_fixed():
     opt = Adam(store, lr=0.1, weight_decay=0.5)
     opt.step({("Enc", "W"): np.array([[1.0]])})
     assert s.data[0, 0] == 1.0  # no gradient entry, no decay either
+
+
+def test_constant_only_computation_keeps_no_graph():
+    rng = np.random.default_rng(2)
+    x, w = ad.const(rng.normal(size=(4, 3))), ad.const(rng.normal(size=(3, 2)))
+    stacked = ad.concat_cols([x, ad.sub(x, x)]) @ ad.const(np.ones((6, 3)))
+    out = ad.log_softmax_rows(ad.relu(ad.matmul(stacked, w)))
+    total = ad.sum_all(ad.sigmoid(out))
+    for t in (out, total):
+        assert not t.requires_grad
+        assert t._parents == () and t._backward is None
+
+
+def test_backward_leaves_gradients_only_on_leaves():
+    rng = np.random.default_rng(3)
+    w = Tensor(rng.normal(size=(3, 3)))
+    x = ad.const(rng.normal(size=(5, 3)))
+    hidden = ad.relu(ad.matmul(x, w))
+    scores = ad.sigmoid(ad.matmul(hidden, ad.transpose(w)))
+    loss = ad.sum_all(ad.mul(scores, scores))
+    loss.backward()
+    assert w.grad is not None and w.grad.shape == (3, 3)
+    for t in (hidden, scores, loss):
+        assert t.grad is None
+    assert x.grad is None

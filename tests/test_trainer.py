@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from imlg.graphs import CircuitGraph
+from imlg.graphs import CircuitGraph, build_graph
 from imlg.model import HyperParams, init_params
+from imlg.sparse import Adjacency
+from imlg.synth import GenConfig, generate_labeled
 from imlg.train import (
     CheckpointError,
     TrainConfig,
-    _batch_adjacency,
     infer,
     load_checkpoint,
     read_predictions,
@@ -14,6 +17,8 @@ from imlg.train import (
     train,
     write_predictions,
 )
+
+from test_sparse import dense
 
 
 def toy_graph(seed=0, n=12, d=10, minority=4, label_signal=True):
@@ -98,7 +103,7 @@ def test_exploding_run_aborts_with_batch_id():
 def test_batch_adjacency_is_induced_subgraph():
     graph = toy_graph(4, n=10)
     nodes = np.array([2, 3, 4, 7])
-    a = _batch_adjacency(graph, nodes)
+    a = dense(Adjacency.from_lists(graph.adj).subgraph(nodes))
     assert a.shape == (4, 4)
     for li, gi in enumerate(nodes):
         for lj, gj in enumerate(nodes):
@@ -145,6 +150,17 @@ def test_checkpoint_roundtrip_is_exact():
     p2, _ = infer(graph, params2)
     assert np.array_equal(p1, p2)  # 0 ulps after reload
     assert save_checkpoint(params2, hp2) == text
+
+
+def test_checkpoint_retired_soft_synthetic_edges_key():
+    hp = HyperParams(hidden_dim=8)
+    text = save_checkpoint(init_params(10, hp, seed=0), hp)
+    assert "soft_synthetic_edges" not in text
+    header, rest = text.split("\n", 1)
+    old = f"{header}\nHP soft_synthetic_edges 0\n{rest}"
+    assert load_checkpoint(old)[1] == hp
+    with pytest.raises(CheckpointError, match="soft_synthetic_edges 1"):
+        load_checkpoint(old.replace("soft_synthetic_edges 0", "soft_synthetic_edges 1"))
 
 
 def test_checkpoint_errors():
@@ -207,3 +223,17 @@ def test_clusters_per_batch_merges_groups():
     _params, log = train(graph, hp=small_hp(), cfg=cfg)
     # 4 clusters grouped in pairs -> 2 steps per epoch
     assert len(log.rows) == 4
+
+
+def test_single_cluster_training_memory_stays_bounded():
+    # one 1200-node batch: the dense batch path peaked at about 405 MiB here
+    design, labels = generate_labeled(GenConfig(n_instances=1200, seed=5))
+    graph = build_graph(design, labels)
+    cfg = TrainConfig(epochs=2, cluster_size=graph.n, seed=0)
+    tracemalloc.start()
+    try:
+        train(graph, hp=HyperParams(hidden_dim=16), cfg=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2**20, peak / 2**20
