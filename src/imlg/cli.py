@@ -92,24 +92,9 @@ def load_config(path: str | None) -> dict:
 
 def _effective_config(ns: argparse.Namespace) -> dict:
     cfg = load_config(ns.config)
-    overrides = {
-        "lr": ns.lr if hasattr(ns, "lr") else None,
-        "weight_decay": getattr(ns, "weight_decay", None),
-        "epochs": getattr(ns, "epochs", None),
-        "hidden_dim": getattr(ns, "hidden_dim", None),
-        "lambda": getattr(ns, "lam", None),
-        "eta": getattr(ns, "eta", None),
-        "smote_k": getattr(ns, "smote_k", None),
-        "threshold": getattr(ns, "threshold", None),
-        "region_depth": getattr(ns, "region_depth", None),
-        "L": getattr(ns, "L", None),
-        "edge_cap": getattr(ns, "edge_cap", None),
-        "cluster_size": getattr(ns, "cluster_size", None),
-        "clusters_per_batch": getattr(ns, "clusters_per_batch", None),
-        "seed": getattr(ns, "seed", None),
-        "baseline_mode": getattr(ns, "baseline_mode", None),
-    }
-    for key, value in overrides.items():
+    for key in DEFAULTS:
+        # a flag's dest is its config key, except --lambda (a Python keyword)
+        value = getattr(ns, "lam" if key == "lambda" else key, None)
         if value is not None:
             cfg[key] = value
     return cfg

@@ -15,21 +15,24 @@ Three edge rules, applied in order:
 The result is far sparser than expanding every net into a clique while
 keeping hot regions connected. Both distance-ranked rules order candidates
 by (squared distance, id) through ``imlg.spatial``, which also holds the
-grid index behind the congeneric candidate search.
+grid index behind the congeneric candidate search. A graph is stored as
+one symmetric CSR adjacency (`imlg.sparse.Adjacency`) with the rule code
+of every stored entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .design import LabelSet, PlacementDesign
 from .features import EncoderConfig, build_feature_matrix
+from .sparse import Adjacency, RepeatedEdge
 from .spatial import GridIndex, by_distance
 
 EDGE_RULES = ("congeneric", "correlation", "residual")
-_RULE_RANK = {r: i for i, r in enumerate(EDGE_RULES)}
+_RULE_CODE = {r: i for i, r in enumerate(EDGE_RULES)}
 
 
 class GraphFormatError(ValueError):
@@ -56,12 +59,19 @@ class BuildConfig:
 class CircuitGraph:
     names: list[str]
     name_to_id: dict[str, int]
-    adj: list[np.ndarray]  # strictly sorted neighbor ids, no self-loops
-    edges: list[tuple[int, int, str]]  # (i, j, rule) with i < j, sorted
+    adj: Adjacency  # symmetric CSR, no self-loops
+    rules: np.ndarray  # EDGE_RULES code of each stored entry, aligned with adj.indices
     features: np.ndarray | None = None
     labels: np.ndarray | None = None
-    isolated: list[str] = field(default_factory=list)
-    clusters: np.ndarray | None = None
+
+    @classmethod
+    def from_edges(cls, names, i, j, rules, features=None, labels=None) -> CircuitGraph:
+        """Graph on `names` with the undirected edges (i[e], j[e]) of rule
+        code rules[e]. An edge given twice raises `RepeatedEdge`."""
+        adj, order = Adjacency.from_edges(len(names), i, j)
+        codes = np.repeat(np.asarray(rules, dtype=np.int8), 2)[order]
+        name_to_id = {nm: k for k, nm in enumerate(names)}
+        return cls(names, name_to_id, adj, codes, features, labels)
 
     @property
     def n(self) -> int:
@@ -69,10 +79,17 @@ class CircuitGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.adj.indices) // 2
 
-    def degree(self, i: int) -> int:
-        return len(self.adj[i])
+    @property
+    def isolated(self) -> list[str]:
+        """Names of the nodes without an edge."""
+        return [self.names[i] for i in np.flatnonzero(self.adj.deg == 0)]
+
+    def upper_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, rule code) of every edge, i < j, ascending by (i, j)."""
+        upper = self.adj.rows < self.adj.indices
+        return self.adj.rows[upper], self.adj.indices[upper], self.rules[upper]
 
 
 class _NodeTable:
@@ -189,31 +206,21 @@ def build_correlation_edges(design: PlacementDesign) -> set:
     return _correlation_from_table(design, _NodeTable(design))
 
 
-def _residual_from_table(
-    table: _NodeTable, existing: set[tuple[int, int]], edge_cap: int
-) -> tuple[set[tuple[int, int]], list[int]]:
-    degree = np.zeros(table.n, dtype=np.int64)
-    for i, j in existing:
-        degree[i] += 1
-        degree[j] += 1
+def _residual_from_table(table: _NodeTable, existing, edge_cap: int) -> set[tuple[int, int]]:
+    pairs = np.array(list(existing), dtype=np.int64).reshape(-1, 2)
+    degree = np.bincount(pairs.ravel(), minlength=table.n)
     node_nets: dict[int, list[int]] = {}
     for k, members in enumerate(table.net_members):
         for i in members:
             node_nets.setdefault(i, []).append(k)
     edges: set[tuple[int, int]] = set()
-    still_isolated: list[int] = []
-    for i in range(table.n):
-        if degree[i] > 0:
-            continue
+    for i in np.flatnonzero(degree == 0).tolist():
         partners = sorted(
             {j for k in node_nets.get(i, ()) for j in table.net_members[k] if j != i}
         )
-        if not partners:
-            still_isolated.append(i)
-            continue
         for j in by_distance(table.xy, i, partners)[:edge_cap].tolist():
             edges.add((min(i, j), max(i, j)))
-    return edges, still_isolated
+    return edges
 
 
 def build_residual_edges(
@@ -221,8 +228,9 @@ def build_residual_edges(
     partial_edges: set,
     cfg: BuildConfig = BuildConfig(),
 ) -> set:
-    """Edges from still-isolated nodes to their nearest netlist neighbors."""
-    return _residual_from_table(_NodeTable(design), partial_edges, cfg.edge_cap)[0]
+    """Edges from still-isolated nodes to their nearest netlist neighbors.
+    A node without netlist neighbors stays isolated."""
+    return _residual_from_table(_NodeTable(design), partial_edges, cfg.edge_cap)
 
 
 def build_graph(
@@ -234,35 +242,25 @@ def build_graph(
     """Assemble the full graph: three edge rules merged with precedence
     congeneric > correlation > residual, features and optional labels."""
     table = _NodeTable(design)
-    rule_of: dict[tuple[int, int], str] = {}
-    congeneric = _congeneric_from_table(table, cfg)
-    for e in congeneric:
-        rule_of[e] = "congeneric"
+    rule_of = dict.fromkeys(_congeneric_from_table(table, cfg), _RULE_CODE["congeneric"])
     for e in _correlation_from_table(design, table):
-        rule_of.setdefault(e, "correlation")
-    residual, still_isolated = _residual_from_table(table, set(rule_of), cfg.edge_cap)
-    for e in residual:
-        rule_of.setdefault(e, "residual")
-    edges = [(i, j, rule_of[(i, j)]) for i, j in sorted(rule_of)]
-    neigh: list[list[int]] = [[] for _ in range(table.n)]
-    for i, j, _rule in edges:
-        neigh[i].append(j)
-        neigh[j].append(i)
-    adj = [np.array(sorted(v), dtype=np.int64) for v in neigh]
+        rule_of.setdefault(e, _RULE_CODE["correlation"])
+    for e in _residual_from_table(table, rule_of, cfg.edge_cap):
+        rule_of.setdefault(e, _RULE_CODE["residual"])
+    i, j = np.array(list(rule_of), dtype=np.int64).reshape(-1, 2).T
     label_vec = None
     if labels is not None:
         missing = [nm for nm in table.names if nm not in labels.labels]
         if missing:
             raise ValueError(f"labels missing instance {missing[0]}")
         label_vec = np.array([labels.labels[nm] for nm in table.names], dtype=np.int64)
-    return CircuitGraph(
-        names=table.names,
-        name_to_id=dict(table.name_to_id),
-        adj=adj,
-        edges=edges,
+    return CircuitGraph.from_edges(
+        table.names,
+        i,
+        j,
+        list(rule_of.values()),
         features=build_feature_matrix(design, encoder_cfg),
         labels=label_vec,
-        isolated=[table.names[i] for i in still_isolated],
     )
 
 
@@ -278,15 +276,14 @@ def disjoint_union(graphs: list[CircuitGraph], prefixes: list[str] | None = None
     if len(dims) > 1:
         raise ValueError(f"feature dimensions differ: {sorted(dims)}")
     names: list[str] = []
-    edges: list[tuple[int, int, str]] = []
-    adj: list[np.ndarray] = []
-    isolated: list[str] = []
+    # each graph's CSR, its rows and columns shifted past the graphs before it
+    indptr = [np.zeros(1, dtype=np.int64)]
+    indices = []
     offset = 0
     for g, prefix in zip(graphs, prefixes):
         names.extend(prefix + nm for nm in g.names)
-        edges.extend((i + offset, j + offset, rule) for i, j, rule in g.edges)
-        adj.extend(nb + offset for nb in g.adj)
-        isolated.extend(prefix + nm for nm in g.isolated)
+        indptr.append(g.adj.indptr[1:] + indptr[-1][-1])
+        indices.append(g.adj.indices + offset)
         offset += g.n
     features = None
     if all(g.features is not None for g in graphs):
@@ -297,11 +294,10 @@ def disjoint_union(graphs: list[CircuitGraph], prefixes: list[str] | None = None
     return CircuitGraph(
         names=names,
         name_to_id={nm: i for i, nm in enumerate(names)},
-        adj=adj,
-        edges=edges,
+        adj=Adjacency(np.concatenate(indptr), np.concatenate(indices)),
+        rules=np.concatenate([g.rules for g in graphs]),
         features=features,
         labels=labels,
-        isolated=isolated,
     )
 
 
@@ -334,8 +330,10 @@ def write_graph(graph: CircuitGraph) -> str:
     """Serialize to the IMLG-GRAPH text format (deterministic)."""
     d = 0 if graph.features is None else graph.features.shape[1]
     lines = ["IMLG-GRAPH v1", f"N {graph.n} D {d}"]
-    for i, j, rule in graph.edges:
-        lines.append(f"EDGE {i} {j} {rule}")
+    i, j, codes = graph.upper_edges()
+    lines.extend(
+        f"EDGE {a} {b} {EDGE_RULES[c]}" for a, b, c in zip(i.tolist(), j.tolist(), codes.tolist())
+    )
     if graph.features is not None:
         for i in range(graph.n):
             vals = " ".join(_fmt(v) for v in graph.features[i])
@@ -343,23 +341,7 @@ def write_graph(graph: CircuitGraph) -> str:
     if graph.labels is not None:
         for i in range(graph.n):
             lines.append(f"LABEL {i} {int(graph.labels[i])}")
-    if graph.clusters is not None:
-        for i in range(graph.n):
-            lines.append(f"CLUSTER {i} {int(graph.clusters[i])}")
     return "\n".join(lines) + "\n"
-
-
-def _repeated_edge_line(lines: list[str]) -> int | None:
-    """Line number of the first EDGE line that repeats an earlier one."""
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(lines[1:], start=2):
-        tokens = raw.split()
-        if tokens and tokens[0] == "EDGE":
-            key = (int(tokens[1]), int(tokens[2]))
-            if key in seen:
-                return lineno
-            seen.add(key)
-    return None
 
 
 def _check_coverage(kind: str, line_of: np.ndarray | None) -> None:
@@ -379,17 +361,17 @@ def read_graph(text: str) -> CircuitGraph:
     """Parse an IMLG-GRAPH document. Node names are not stored in the file;
     they default to the node index as a string.
 
-    Malformed lines, repeated edges or node lines, partial FEAT / LABEL /
-    CLUSTER coverage and non-finite features raise GraphFormatError with
-    the line number."""
+    Malformed lines, a negative size, repeated edges or node lines, partial
+    FEAT / LABEL coverage and non-finite features raise GraphFormatError
+    with the line number."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "IMLG-GRAPH v1":
         raise GraphFormatError("expected header 'IMLG-GRAPH v1'", 1)
     n = d = None
-    edges: list[tuple[int, int, str]] = []
-    feats = labels = clusters = None
-    # line number of each node's FEAT / LABEL / CLUSTER line, 0 = none yet
-    feat_line = label_line = cluster_line = None
+    edges: list[tuple[int, int, int, int]] = []  # (i, j, rule code, line number)
+    feats = labels = None
+    # line number of each node's FEAT / LABEL line, 0 = none yet
+    feat_line = label_line = None
     for lineno, raw in enumerate(lines[1:], start=2):
         tokens = raw.split()
         if not tokens:
@@ -402,17 +384,19 @@ def read_graph(text: str) -> CircuitGraph:
                 if len(tokens) != 4 or tokens[2] != "D":
                     raise GraphFormatError("expected 'N <n> D <d>'", lineno)
                 n, d = int(tokens[1]), int(tokens[3])
+                if n < 0 or d < 0:
+                    raise GraphFormatError(f"negative size in '{raw.strip()}'", lineno)
             elif n is None:
                 raise GraphFormatError("size line 'N ... D ...' must come first", lineno)
             elif kind == "EDGE":
                 if len(tokens) != 4:
                     raise GraphFormatError("expected 'EDGE <i> <j> <rule>'", lineno)
                 i, j, rule = int(tokens[1]), int(tokens[2]), tokens[3]
-                if rule not in EDGE_RULES:
+                if rule not in _RULE_CODE:
                     raise GraphFormatError(f"unknown edge rule '{rule}'", lineno)
                 if not (0 <= i < j < n):
                     raise GraphFormatError(f"bad edge endpoints {i} {j}", lineno)
-                edges.append((i, j, rule))
+                edges.append((i, j, _RULE_CODE[rule], lineno))
             elif kind == "FEAT":
                 if feats is None:
                     feats = np.zeros((n, d))
@@ -438,19 +422,6 @@ def read_graph(text: str) -> CircuitGraph:
                     raise GraphFormatError(f"second LABEL line for node {i}", lineno)
                 labels[i] = int(v)
                 label_line[i] = lineno
-            elif kind == "CLUSTER":
-                if clusters is None:
-                    clusters = np.zeros(n, dtype=np.int64)
-                    cluster_line = np.zeros(n, dtype=np.int64)
-                if len(tokens) != 3:
-                    raise GraphFormatError("expected 'CLUSTER <i> <c>'", lineno)
-                i = int(tokens[1])
-                if not (0 <= i < n):
-                    raise GraphFormatError(f"bad CLUSTER line for node {tokens[1]}", lineno)
-                if cluster_line[i]:
-                    raise GraphFormatError(f"second CLUSTER line for node {i}", lineno)
-                clusters[i] = int(tokens[2])
-                cluster_line[i] = lineno
             else:
                 raise GraphFormatError(f"unknown directive '{kind}'", lineno)
         except GraphFormatError:
@@ -461,27 +432,13 @@ def read_graph(text: str) -> CircuitGraph:
         raise GraphFormatError("missing size line 'N <n> D <d>'")
     _check_coverage("FEAT", feat_line)
     _check_coverage("LABEL", label_line)
-    _check_coverage("CLUSTER", cluster_line)
     if feats is not None:
         bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
         if len(bad):
             node = int(bad[np.argmin(feat_line[bad])])
             raise GraphFormatError(f"non-finite FEAT value for node {node}", int(feat_line[node]))
-    names = [str(i) for i in range(n)]
-    neigh: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _rule in edges:
-        neigh[i].append(j)
-        neigh[j].append(i)
-    adj = [np.array(sorted(set(v)), dtype=np.int64) for v in neigh]
-    if sum(len(a) for a in adj) != 2 * len(edges):
-        raise GraphFormatError("repeated EDGE line", _repeated_edge_line(lines))
-    return CircuitGraph(
-        names=names,
-        name_to_id={nm: i for i, nm in enumerate(names)},
-        adj=adj,
-        edges=sorted(edges, key=lambda e: (e[0], e[1])),
-        features=feats,
-        labels=labels,
-        isolated=[names[i] for i in range(n) if len(adj[i]) == 0],
-        clusters=clusters,
-    )
+    i, j, codes, where = np.array(edges, dtype=np.int64).reshape(-1, 4).T
+    try:
+        return CircuitGraph.from_edges([str(k) for k in range(n)], i, j, codes, feats, labels)
+    except RepeatedEdge as err:
+        raise GraphFormatError("repeated EDGE line", int(where[err.at])) from None

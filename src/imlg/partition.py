@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sparse import Adjacency
+
 _COARSE_FACTOR = 20  # stop coarsening at <= 20 * k nodes
 _MAX_REFINE_PASSES = 8
 
@@ -25,33 +27,17 @@ class Partition:
     cut: int
 
 
-def _as_adjacency(graph) -> list[np.ndarray]:
-    if hasattr(graph, "adj"):
-        return graph.adj
-    return graph
+def _weighted(adj: Adjacency) -> list[dict[int, float]]:
+    """Unit edge weights per CSR row, neighbors in ascending order."""
+    ptr = adj.indptr.tolist()
+    cols = adj.indices.tolist()
+    return [dict.fromkeys(cols[lo:hi], 1.0) for lo, hi in zip(ptr[:-1], ptr[1:])]
 
 
-def _weighted(adj: list[np.ndarray]) -> list[dict[int, float]]:
-    return [{int(j): 1.0 for j in neigh} for neigh in adj]
-
-
-def cut_size(adj, assignment: np.ndarray) -> int:
-    adj = _as_adjacency(adj)
-    cut = 0
-    for i, neigh in enumerate(adj):
-        for j in neigh:
-            if i < j and assignment[i] != assignment[j]:
-                cut += 1
-    return cut
-
-
-def _weighted_cut(wadj: list[dict[int, float]], assignment: np.ndarray) -> float:
-    cut = 0.0
-    for i, neigh in enumerate(wadj):
-        for j, w in neigh.items():
-            if i < j and assignment[i] != assignment[j]:
-                cut += w
-    return cut
+def cut_size(adj: Adjacency, assignment: np.ndarray) -> int:
+    """Number of edges whose endpoints lie in different clusters."""
+    assignment = np.asarray(assignment)
+    return int(np.count_nonzero(assignment[adj.rows] != assignment[adj.indices])) // 2
 
 
 def coarsen(
@@ -202,10 +188,10 @@ def refine(
 
 
 def partition_graph(graph, target_size: int, seed: int = 0) -> Partition:
-    """Split into k = round(n / target_size) clusters (at least 1) of
-    roughly equal size, minimizing cross-cluster edges."""
-    adj = _as_adjacency(graph)
-    n = len(adj)
+    """Split a CircuitGraph into k = round(n / target_size) clusters (at
+    least 1) of roughly equal size, minimizing cross-cluster edges."""
+    adj = graph.adj
+    n = adj.n
     if n < 1:
         raise ValueError("cannot partition an empty graph")
     if target_size < 1:

@@ -1,7 +1,8 @@
 """Sparse batch adjacencies and the mean-aggregation operator over them.
 
 `Adjacency` is a symmetric 0/1 adjacency in CSR form (`indptr`,
-`indices`, `deg`), cut for a batch out of the whole graph's CSR.
+`indices`, `deg`): the storage of a circuit graph, and of each batch cut
+out of it.
 `AugmentedAdjacency` adds the decoder's synthetic nodes: the real CSR plus
 the m x (n+m) 0/1 rows of the synthetic nodes, whose transpose gives the
 synthetic columns. `MeanAggregation` turns either into the row-normalized
@@ -16,6 +17,15 @@ import numpy as np
 # Neighbor sums gather at most this many rows of the input at a time, so a
 # pass over all edges never holds an edges x features copy of its input.
 GATHER_ROWS = 2048
+
+
+class RepeatedEdge(ValueError):
+    """An edge list names one edge twice; `at` is the position of the
+    first edge that repeats an earlier one."""
+
+    def __init__(self, at: int):
+        super().__init__(f"edge {at} repeats an earlier edge")
+        self.at = at
 
 
 class Adjacency:
@@ -38,11 +48,25 @@ class Adjacency:
             self._chunks.append((lo, hi, starts, r[starts]))
 
     @classmethod
-    def from_lists(cls, adj: list[np.ndarray]) -> Adjacency:
-        """From per-node sorted neighbor arrays, as in `CircuitGraph.adj`."""
-        deg = np.array([len(nb) for nb in adj], dtype=np.int64)
-        indices = np.concatenate(adj) if adj else np.zeros(0, dtype=np.int64)
-        return cls(np.r_[0, np.cumsum(deg)], indices)
+    def from_edges(cls, n: int, i: np.ndarray, j: np.ndarray) -> tuple[Adjacency, np.ndarray]:
+        """Adjacency of the undirected edges (i[e], j[e]), i[e] != j[e], on n nodes.
+
+        Also returns `order`: stored entry k is one of the two copies of
+        edge order[k] // 2, so per-edge data `v` lines up with `indices` as
+        np.repeat(v, 2)[order]. An edge given twice, either way round,
+        raises RepeatedEdge."""
+        i = np.asarray(i, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
+        # both copies of each edge, interleaved: (i0, j0), (j0, i0), (i1, j1), ...
+        rows = np.column_stack([i, j]).ravel()
+        cols = np.column_stack([j, i]).ravel()
+        # stable, so of equal entries the one of the earlier edge comes first
+        order = np.argsort(rows * n + cols, kind="stable")
+        rows, cols = rows[order], cols[order]
+        same = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])) + 1
+        if len(same):
+            raise RepeatedEdge(int(order[same].min()) // 2)
+        return cls(np.r_[0, np.cumsum(np.bincount(rows, minlength=n))], cols), order
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -25,7 +25,11 @@ from .sparse import Adjacency
 
 
 class CheckpointError(ValueError):
-    pass
+    def __init__(self, msg: str, line: int | None = None):
+        if line is not None:
+            msg = f"line {line}: {msg}"
+        super().__init__(msg)
+        self.line = line
 
 
 @dataclass
@@ -93,7 +97,6 @@ def train(
     adam = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng([cfg.seed, 2])
     log = TrainLog(seed=cfg.seed)
-    whole = Adjacency.from_lists(graph.adj)
     batch_cache: dict[tuple, tuple[np.ndarray, Adjacency]] = {}
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(part.k)
@@ -102,7 +105,7 @@ def train(
             key = tuple(sorted(int(c) for c in group))
             if key not in batch_cache:
                 nodes = np.sort(np.concatenate([cluster_nodes[c] for c in group]))
-                batch_cache[key] = (nodes, whole.subgraph(nodes))
+                batch_cache[key] = (nodes, graph.adj.subgraph(nodes))
             nodes, a = batch_cache[key]
             try:
                 res = forward(
@@ -144,10 +147,9 @@ def infer(graph: CircuitGraph, params: ParamStore) -> tuple[np.ndarray, np.ndarr
             f"feature dimension mismatch: graph has {graph.features.shape[1]}, "
             f"checkpoint expects {w1.shape[0] // 3}"
         )
-    adj = Adjacency.from_lists(graph.adj)
-    z = encode(adj, graph.features, ad.const(w1))
+    z = encode(graph.adj, graph.features, ad.const(w1))
     weights = (ad.const(params.get("Clf", name).data) for name in ("W_agg", "W_head"))
-    _logp, probs = classify(adj, z, *weights)
+    _logp, probs = classify(graph.adj, z, *weights)
     return probs[:, 1], predicted_labels(probs)
 
 
@@ -189,50 +191,69 @@ def save_checkpoint(params: ParamStore, hp: HyperParams) -> str:
 
 
 def load_checkpoint(text: str) -> tuple[ParamStore, HyperParams]:
+    """Parse an IMLG-CKPT document. A malformed line, a non-numeric or
+    non-finite weight and a flag other than 0 or 1 raise CheckpointError
+    with the line number."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "IMLG-CKPT v1":
         raise CheckpointError("expected header 'IMLG-CKPT v1'")
+    kinds = dict(_HP_FIELDS)
     hp_values: dict[str, object] = {}
     params = ParamStore()
     at = 1
     while at < len(lines):
+        lineno = at + 1
         tokens = lines[at].split()
         at += 1
         if not tokens:
             continue
         if tokens[0] == "HP":
             if len(tokens) != 3:
-                raise CheckpointError(f"bad HP line: {lines[at - 1]!r}")
-            key = tokens[1]
+                raise CheckpointError(f"bad HP line: {lines[at - 1]!r}", lineno)
+            key, raw = tokens[1], tokens[2]
             if key == _RETIRED_HP:
-                if tokens[2] != "0":
-                    raise CheckpointError(f"{key} {tokens[2]} is no longer supported")
+                if raw != "0":
+                    raise CheckpointError(f"{key} {raw} is no longer supported", lineno)
                 continue
-            kinds = dict(_HP_FIELDS)
             if key not in kinds:
-                raise CheckpointError(f"unknown hyperparameter '{key}'")
+                raise CheckpointError(f"unknown hyperparameter '{key}'", lineno)
             kind = kinds[key]
-            hp_values[key] = bool(int(tokens[2])) if kind is bool else kind(tokens[2])
+            if kind is bool:
+                if raw not in ("0", "1"):
+                    raise CheckpointError(f"{key} expects 0 or 1, got '{raw}'", lineno)
+                hp_values[key] = raw == "1"
+            else:
+                try:
+                    hp_values[key] = kind(raw)
+                except ValueError:
+                    msg = f"{key} expects {kind.__name__}, got '{raw}'"
+                    raise CheckpointError(msg, lineno) from None
         elif tokens[0] == "PARAM":
-            if len(tokens) != 5:
-                raise CheckpointError(f"bad PARAM line: {lines[at - 1]!r}")
+            if len(tokens) != 5 or not (tokens[3].isdigit() and tokens[4].isdigit()):
+                raise CheckpointError(f"bad PARAM line: {lines[at - 1]!r}", lineno)
             owner, name = tokens[1], tokens[2]
             rows, cols = int(tokens[3]), int(tokens[4])
             if at + rows > len(lines):
-                raise CheckpointError(f"truncated checkpoint in {owner}.{name}")
+                raise CheckpointError(f"truncated checkpoint in {owner}.{name}", lineno)
             block = np.zeros((rows, cols))
             for r in range(rows):
                 vals = lines[at + r].split()
                 if len(vals) != cols:
                     raise CheckpointError(
                         f"shape mismatch in {owner}.{name} row {r}: "
-                        f"expected {cols} values, got {len(vals)}"
+                        f"expected {cols} values, got {len(vals)}",
+                        at + r + 1,
                     )
-                block[r] = [float(v) for v in vals]
+                try:
+                    block[r] = [float(v) for v in vals]
+                except ValueError as err:
+                    raise CheckpointError(f"{owner}.{name} row {r}: {err}", at + r + 1) from None
+                if not np.isfinite(block[r]).all():
+                    raise CheckpointError(f"non-finite value in {owner}.{name} row {r}", at + r + 1)
             at += rows
             params.add(owner, name, block)
         else:
-            raise CheckpointError(f"unknown directive '{tokens[0]}'")
+            raise CheckpointError(f"unknown directive '{tokens[0]}'", lineno)
     try:
         hp = HyperParams(**hp_values)
     except TypeError as err:

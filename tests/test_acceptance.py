@@ -16,7 +16,9 @@ from imlg.autodiff import Tensor, finite_difference
 from imlg.cli import main
 from imlg.features import EncoderConfig, build_feature_matrix, feature_dim
 from imlg.graphs import (
+    EDGE_RULES,
     BuildConfig,
+    CircuitGraph,
     build_graph,
     clique_expansion_count,
     disjoint_union,
@@ -32,6 +34,7 @@ from imlg.model import (
     smote_oversample,
 )
 from imlg.partition import cut_size, partition_graph, refine
+from imlg.sparse import Adjacency
 from imlg.synth import GenConfig, generate_labeled
 from imlg.train import TrainConfig, infer, train
 
@@ -192,7 +195,8 @@ def test_c06_graph_builder_properties():
                 for nm, pin in net.pins:
                     if pin == "d":
                         drives.add(frozenset((driver[0], nm)))
-        for i, j, rule in g.edges:
+        ei, ej, codes = g.upper_edges()
+        for i, j, rule in zip(ei.tolist(), ej.tolist(), (EDGE_RULES[c] for c in codes)):
             u, v = by_id[i], by_id[j]
             if rule == "congeneric":
                 assert max(abs(u.x - v.x), abs(u.y - v.y)) <= cfg.L
@@ -211,11 +215,10 @@ def test_c06_graph_builder_properties():
 
 def test_c07_partitioner_properties():
     # 4-node path fixture: cut equals the brute-force optimum of 1
-    neigh = [[1], [0, 2], [1, 3], [2]]
-    adj = [np.array(v, dtype=np.int64) for v in neigh]
-    part = partition_graph(adj, target_size=2)
+    path = CircuitGraph.from_edges(list("abcd"), [0, 1, 2], [1, 2, 3], [0, 0, 0])
+    part = partition_graph(path, target_size=2)
     best = min(
-        cut_size(adj, np.array(a))
+        cut_size(path.adj, np.array(a))
         for a in itertools.product((0, 1), repeat=4)
         if sum(a) == 2
     )
@@ -230,12 +233,10 @@ def test_c07_partitioner_properties():
     for _trial in range(100):
         n = int(rng.integers(8, 40))
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.15]
-        neigh = [[] for _ in range(n)]
-        for i, j in edges:
-            neigh[i].append(j)
-            neigh[j].append(i)
-        radj = [np.array(sorted(v), dtype=np.int64) for v in neigh]
-        wadj = [{int(j): 1.0 for j in nb} for nb in radj]
+        i, j = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        radj, _order = Adjacency.from_edges(n, i, j)
+        wadj = [{int(v): 1.0 for v in radj.indices[radj.indptr[u] : radj.indptr[u + 1]]}
+                for u in range(n)]
         assignment = rng.integers(0, 3, size=n).astype(np.int64)
         before = cut_size(radj, assignment)
         after = cut_size(radj, refine(wadj, np.ones(n), assignment, 3, n / 6, n / 2))

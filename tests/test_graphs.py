@@ -5,17 +5,30 @@ import pytest
 
 from imlg.design import Instance, Net, PlacementDesign, parse_design, validate_design
 from imlg.graphs import (
+    EDGE_RULES,
     BuildConfig,
+    CircuitGraph,
     GraphFormatError,
     build_congeneric_edges,
     build_correlation_edges,
     build_graph,
     build_residual_edges,
     clique_expansion_count,
+    disjoint_union,
     read_graph,
     write_graph,
 )
 from imlg.synth import GenConfig, generate_labeled
+
+
+def edge_list(g):
+    """(i, j, rule) of every edge, i < j, sorted."""
+    i, j, codes = g.upper_edges()
+    return [(a, b, EDGE_RULES[c]) for a, b, c in zip(i.tolist(), j.tolist(), codes.tolist())]
+
+
+def neighbors(g, i):
+    return g.adj.indices[g.adj.indptr[i] : g.adj.indptr[i + 1]]
 
 
 def _design(w, h, instances, nets=()):
@@ -233,7 +246,7 @@ def test_no_net_partner_stays_isolated_and_reported():
 def test_two_instance_graph_is_one_correlation_edge():
     insts = [Instance("l0", "LUT2", 0.5, 0.5), Instance("f0", "FF", 1.0, 0.5)]
     g = build_graph(_design(4, 4, insts, [Net("n0", (("l0", "o"), ("f0", "d")))]))
-    assert g.edges == [(0, 1, "correlation")]
+    assert edge_list(g) == [(0, 1, "correlation")]
     assert g.isolated == []
 
 
@@ -242,18 +255,18 @@ def test_build_invariants_on_seeded_designs():
         design, labels = generate_labeled(GenConfig(n_instances=300, seed=seed))
         g = build_graph(design, labels)
         g2 = build_graph(design, labels)
-        assert g.edges == g2.edges  # deterministic
+        assert edge_list(g) == edge_list(g2)  # deterministic
         seen = set()
-        for i, j, rule in g.edges:
+        for i, j, rule in edge_list(g):
             assert 0 <= i < j < g.n
             assert (i, j) not in seen
             seen.add((i, j))
         for i in range(g.n):
-            nb = g.adj[i]
+            nb = neighbors(g, i)
             assert (np.diff(nb) > 0).all() if len(nb) > 1 else True
             assert i not in nb
             for j in nb:
-                assert i in g.adj[j]
+                assert i in neighbors(g, j)
         assert len(g.isolated) == 0
         assert g.n_edges < clique_expansion_count(design)
 
@@ -262,6 +275,28 @@ def test_edge_count_below_clique_expansion_at_scale():
     design, _labels = generate_labeled(GenConfig(n_instances=5000, seed=9))
     g = build_graph(design)
     assert g.n_edges < clique_expansion_count(design)
+
+
+def test_disjoint_union_shifts_each_graph():
+    edgeless = [Instance("a", "LUT2", 0.5, 0.5), Instance("b", "LUT2", 15.5, 15.5)]
+    parts = [
+        build_graph(generate_labeled(GenConfig(n_instances=60, seed=1))[0]),
+        build_graph(_design(16, 16, edgeless, [])),
+        build_graph(generate_labeled(GenConfig(n_instances=80, seed=2))[0]),
+    ]
+    union = disjoint_union(parts)
+    expected, shift = [], 0
+    for g in parts:
+        expected += [(i + shift, j + shift, rule) for i, j, rule in edge_list(g)]
+        shift += g.n
+    assert edge_list(union) == expected
+    assert union.isolated == ["g1:a", "g1:b"]
+    assert union.names[60] == "g1:a" and union.name_to_id["g2:" + parts[2].names[0]] == 62
+    assert np.array_equal(union.features, np.vstack([g.features for g in parts]))
+    ref = CircuitGraph.from_edges(union.names, *union.upper_edges())
+    assert np.array_equal(union.adj.indptr, ref.adj.indptr)
+    assert np.array_equal(union.adj.indices, ref.adj.indices)
+    assert np.array_equal(union.rules, ref.rules)
 
 
 def test_graph_labels_attached_in_node_order():
@@ -278,14 +313,12 @@ def test_graph_labels_attached_in_node_order():
 def test_graph_file_roundtrip():
     design, labels = generate_labeled(GenConfig(n_instances=80, seed=5))
     g = build_graph(design, labels)
-    g.clusters = np.arange(g.n) % 3
     text = write_graph(g)
     back = read_graph(text)
     assert back.n == g.n
-    assert back.edges == g.edges
+    assert edge_list(back) == edge_list(g)
     assert np.array_equal(back.features, g.features)
     assert np.array_equal(back.labels, g.labels)
-    assert np.array_equal(back.clusters, g.clusters)
     assert write_graph(back) == text
 
 
@@ -307,13 +340,15 @@ def test_graph_file_errors():
          "repeated EDGE line", 5),
         ("N 3 D 0\nLABEL 0 1\nLABEL 2 0\n", "missing LABEL line for node 1", 3),
         ("N 2 D 0\nLABEL 0 1\nLABEL 1 0\nLABEL 0 0\n", "second LABEL line for node 0", 5),
-        ("N 2 D 0\nCLUSTER 1 0\n", "missing CLUSTER line for node 0", 3),
+        ("N 2 D 0\nCLUSTER 1 0\n", "unknown directive 'CLUSTER'", 3),
         ("N 2 D 1\nFEAT 0 1.0\nFEAT 1 nan\n", "non-finite FEAT value for node 1", 4),
         ("N 2 D 1\nFEAT 0 inf\nFEAT 1 0.5\n", "non-finite FEAT value for node 0", 3),
         ("N 2 D 0\nEDGE 0 x congeneric\n", "bad EDGE line", 3),
         ("N 2 D 0\nLABEL 0\n", "expected 'LABEL", 3),
         ("N two D 0\n", "bad N line", 2),
         ("N 2 D 0\nN 3 D 0\n", "second size line", 3),
+        ("N -3 D 2\n", "negative size", 2),
+        ("N 2 D -1\n", "negative size", 2),
     ],
 )
 def test_graph_reader_rejects_with_line_number(text, message, line):

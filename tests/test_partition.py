@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from imlg.graphs import build_graph
+from imlg.graphs import CircuitGraph, build_graph
 from imlg.partition import (
     Partition,
     coarsen,
@@ -15,16 +15,19 @@ from imlg.partition import (
 from imlg.synth import GenConfig, generate_labeled
 
 
+def _graph(n, edges):
+    """CircuitGraph on n nodes with the undirected edges (i, j)."""
+    i, j = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return CircuitGraph.from_edges([str(k) for k in range(n)], i, j, np.zeros(len(i)))
+
+
 def _adj(n, edges):
-    neigh = [[] for _ in range(n)]
-    for i, j in edges:
-        neigh[i].append(j)
-        neigh[j].append(i)
-    return [np.array(sorted(v), dtype=np.int64) for v in neigh]
+    return _graph(n, edges).adj
 
 
 def _weighted(adj):
-    return [{int(j): 1.0 for j in nb} for nb in adj]
+    ptr = adj.indptr
+    return [{int(j): 1.0 for j in adj.indices[ptr[i] : ptr[i + 1]]} for i in range(adj.n)]
 
 
 def _random_adj(rng, n, p):
@@ -42,15 +45,15 @@ def _check_valid(part: Partition, n, target):
 
 
 def test_path_graph_matches_bruteforce_optimum():
-    adj = _adj(4, [(0, 1), (1, 2), (2, 3)])
-    part = partition_graph(adj, target_size=2)
+    g = _graph(4, [(0, 1), (1, 2), (2, 3)])
+    part = partition_graph(g, target_size=2)
     assert part.k == 2
     assert part.cut == 1
     groups = {tuple(sorted(np.flatnonzero(part.assignment == c))) for c in range(2)}
     assert groups == {(0, 1), (2, 3)}
     # brute force over all balanced 2-partitions
     best = min(
-        cut_size(adj, np.array(a))
+        cut_size(g.adj, np.array(a))
         for a in itertools.product((0, 1), repeat=4)
         if sum(a) == 2
     )
@@ -58,14 +61,14 @@ def test_path_graph_matches_bruteforce_optimum():
 
 
 def test_single_cluster_when_target_covers_graph():
-    adj = _adj(10, [(i, i + 1) for i in range(9)])
-    part = partition_graph(adj, target_size=10)
+    g = _graph(10, [(i, i + 1) for i in range(9)])
+    part = partition_graph(g, target_size=10)
     assert part.k == 1 and part.cut == 0
 
 
 def test_target_one_gives_singletons():
-    adj = _adj(4, [(0, 1), (2, 3)])
-    part = partition_graph(adj, target_size=1)
+    g = _graph(4, [(0, 1), (2, 3)])
+    part = partition_graph(g, target_size=1)
     assert part.k == 4
     assert part.cut == 2
 
@@ -149,9 +152,19 @@ def test_refine_never_increases_cut():
         assert cut_size(adj, out) <= before
 
 
+def test_cut_size_counts_each_crossing_edge_once():
+    rng = np.random.default_rng(12)
+    for _trial in range(20):
+        n = int(rng.integers(2, 30))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2]
+        assignment = rng.integers(0, 3, size=n)
+        expected = sum(1 for i, j in edges if assignment[i] != assignment[j])
+        assert cut_size(_adj(n, edges), assignment) == expected
+
+
 def test_isolated_nodes_assigned_round_robin():
-    adj = _adj(9, [(0, 1), (1, 2), (3, 4), (4, 5)])  # 6,7,8 isolated
-    part = partition_graph(adj, target_size=3, seed=1)
+    g = _graph(9, [(0, 1), (1, 2), (3, 4), (4, 5)])  # 6,7,8 isolated
+    part = partition_graph(g, target_size=3, seed=1)
     _check_valid(part, 9, 3)
 
 

@@ -29,7 +29,8 @@ from imlg.train import infer
 
 def csr(a) -> Adjacency:
     """CSR adjacency of a dense symmetric 0/1 matrix."""
-    return Adjacency.from_lists([np.flatnonzero(row) for row in np.asarray(a)])
+    i, j = np.nonzero(np.triu(np.asarray(a), 1))
+    return Adjacency.from_edges(len(a), i, j)[0]
 
 
 def dense(adj) -> np.ndarray:
@@ -90,7 +91,9 @@ def ref_apply_smote(z, plan):
 def ref_infer(graph, params):
     def neighbor_mean(x):
         out = np.zeros_like(x)
-        for i, nb in enumerate(graph.adj):
+        ptr = graph.adj.indptr
+        for i in range(graph.n):
+            nb = graph.adj.indices[ptr[i] : ptr[i + 1]]
             if len(nb):
                 out[i] = x[nb].mean(axis=0)
         return out
@@ -143,6 +146,43 @@ def assert_rel(new, ref, tol=1e-12):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
+def test_from_edges_matches_dense_matrix(case):
+    a = random_adjacency(1, **CASES[case])
+    rng = np.random.default_rng(5)
+    i, j = np.nonzero(np.triu(a, 1))
+    shuffle = rng.permutation(len(i))
+    i, j = i[shuffle], j[shuffle]
+    flip = rng.random(len(i)) < 0.5  # either endpoint may come first
+    i, j = np.where(flip, j, i), np.where(flip, i, j)
+    adj, order = Adjacency.from_edges(len(a), i, j)
+    assert np.array_equal(dense(adj), a)
+    assert np.array_equal(adj.deg, a.sum(axis=1))
+    for r in range(adj.n):
+        assert (np.diff(adj.indices[adj.indptr[r] : adj.indptr[r + 1]]) > 0).all()
+    # per-edge data follows the entries: each entry carries its own edge's id
+    edge_of = np.repeat(np.arange(len(i)), 2)[order]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    assert np.array_equal(lo[edge_of], np.minimum(adj.rows, adj.indices))
+    assert np.array_equal(hi[edge_of], np.maximum(adj.rows, adj.indices))
+
+
+@pytest.mark.parametrize(
+    "edges,first_repeat",
+    [
+        ([(0, 1), (0, 1)], 1),
+        ([(0, 1), (1, 2), (2, 3), (1, 2), (0, 1)], 3),
+        ([(2, 3), (0, 1), (1, 0), (3, 2)], 2),  # the same pair either way round
+        ([(0, 4), (0, 1), (0, 2), (0, 3), (0, 2), (0, 4)], 4),  # a hub
+    ],
+)
+def test_from_edges_reports_first_repeated_edge(edges, first_repeat):
+    i, j = np.array(edges).T
+    with pytest.raises(sparse.RepeatedEdge) as err:
+        Adjacency.from_edges(5, i, j)
+    assert err.value.at == first_repeat
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("chunk", [3, 8, sparse.GATHER_ROWS])
 def test_mean_aggregation_matches_dense_matrix(case, chunk, monkeypatch):
     # chunk 3 and 8 make the hub's row (and most rows) span several gathers
@@ -159,7 +199,7 @@ def test_mean_aggregation_matches_dense_matrix(case, chunk, monkeypatch):
 
 def test_hub_row_beyond_the_gather_chunk():
     leaves = sparse.GATHER_ROWS + 100
-    adj = Adjacency.from_lists([np.arange(1, leaves + 1)] + [np.array([0])] * leaves)
+    adj, _order = Adjacency.from_edges(leaves + 1, np.zeros(leaves), np.arange(1, leaves + 1))
     assert adj.deg[0] > sparse.GATHER_ROWS
     x = np.random.default_rng(3).normal(size=(leaves + 1, 4))
     out = MeanAggregation(adj).apply(x)
@@ -269,10 +309,9 @@ def test_apply_smote_without_synthetic_rows_is_identity():
 def graph_of(a, d=9, seed=0):
     rng = np.random.default_rng(seed)
     names = [f"n{i:03d}" for i in range(len(a))]
-    adj = [np.flatnonzero(row) for row in a]
-    edges = [(i, int(j), "residual") for i, nb in enumerate(adj) for j in nb if j > i]
-    return CircuitGraph(names, {nm: i for i, nm in enumerate(names)}, adj, edges,
-                        features=rng.normal(size=(len(a), d)))
+    i, j = np.nonzero(np.triu(a, 1))
+    return CircuitGraph.from_edges(names, i, j, np.full(len(i), 2),
+                                   features=rng.normal(size=(len(a), d)))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

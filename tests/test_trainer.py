@@ -5,7 +5,6 @@ import pytest
 
 from imlg.graphs import CircuitGraph, build_graph
 from imlg.model import HyperParams, init_params
-from imlg.sparse import Adjacency
 from imlg.synth import GenConfig, generate_labeled
 from imlg.train import (
     CheckpointError,
@@ -37,19 +36,9 @@ def toy_graph(seed=0, n=12, d=10, minority=4, label_signal=True):
     if label_signal:
         x[:, 0] = 1.0 - y
         x[:, 1] = y
-    neigh = [[] for _ in range(n)]
-    for i, j in edges:
-        neigh[i].append(j)
-        neigh[j].append(i)
+    i, j = np.array(edges, dtype=np.int64).T
     names = [f"n{i:02d}" for i in range(n)]
-    return CircuitGraph(
-        names=names,
-        name_to_id={nm: i for i, nm in enumerate(names)},
-        adj=[np.array(sorted(v), dtype=np.int64) for v in neigh],
-        edges=[(i, j, "residual") for i, j in edges],
-        features=x,
-        labels=y,
-    )
+    return CircuitGraph.from_edges(names, i, j, np.full(len(i), 2), features=x, labels=y)
 
 
 def small_hp():
@@ -103,11 +92,12 @@ def test_exploding_run_aborts_with_batch_id():
 def test_batch_adjacency_is_induced_subgraph():
     graph = toy_graph(4, n=10)
     nodes = np.array([2, 3, 4, 7])
-    a = dense(Adjacency.from_lists(graph.adj).subgraph(nodes))
+    a = dense(graph.adj.subgraph(nodes))
     assert a.shape == (4, 4)
+    ptr = graph.adj.indptr
     for li, gi in enumerate(nodes):
         for lj, gj in enumerate(nodes):
-            expected = 1.0 if gj in graph.adj[gi] else 0.0
+            expected = 1.0 if gj in graph.adj.indices[ptr[gi] : ptr[gi + 1]] else 0.0
             assert a[li, lj] == expected
     assert np.array_equal(a, a.T)
 
@@ -174,6 +164,35 @@ def test_checkpoint_errors():
         load_checkpoint(truncated)
     with pytest.raises(CheckpointError, match="unknown directive"):
         load_checkpoint("IMLG-CKPT v1\nWAT 1\n")
+
+
+def _corrupt_checkpoint(prefix, offset, value):
+    """A valid checkpoint in which the line `offset` lines after the first
+    one starting with `prefix` ends in `value`; returns (text, its line number)."""
+    hp = HyperParams(hidden_dim=8)
+    lines = save_checkpoint(init_params(10, hp, seed=0), hp).splitlines()
+    at = next(k for k, ln in enumerate(lines) if ln.startswith(prefix)) + offset
+    lines[at] = " ".join(lines[at].split()[:-1] + [value])
+    return "\n".join(lines) + "\n", at + 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_checkpoint_rejects_non_finite_weight(value):
+    text, line = _corrupt_checkpoint("PARAM Clf W_agg", 2, value)
+    with pytest.raises(CheckpointError, match=f"^line {line}: non-finite value in Clf.W_agg row 1"):
+        load_checkpoint(text)
+
+
+def test_checkpoint_rejects_non_numeric_weight():
+    text, line = _corrupt_checkpoint("PARAM Clf W_agg", 2, "abc")
+    with pytest.raises(CheckpointError, match=f"^line {line}: Clf.W_agg row 1: .*'abc'"):
+        load_checkpoint(text)
+
+
+def test_checkpoint_rejects_flag_other_than_0_or_1():
+    text, line = _corrupt_checkpoint("HP oversample_to_balance", 0, "7")
+    with pytest.raises(CheckpointError, match=f"^line {line}: oversample_to_balance expects 0 or 1"):
+        load_checkpoint(text)
 
 
 def test_predictions_roundtrip():
