@@ -12,7 +12,6 @@ import numpy as np
 
 from imlg import (
     BuildConfig,
-    EncoderConfig,
     GenConfig,
     build_graph,
     clique_expansion_count,
@@ -23,9 +22,7 @@ from imlg import (
 from imlg.graphs import EDGE_RULES
 
 design, labels = generate_labeled(GenConfig(n_instances=2000, seed=42))
-graph = build_graph(
-    design, labels, cfg=BuildConfig(L=5.0, edge_cap=16), encoder_cfg=EncoderConfig(region_depth=4)
-)
+graph = build_graph(design, labels, cfg=BuildConfig(L=5.0, edge_cap=16, region_depth=4))
 
 print(f"nodes: {graph.n}, edges: {graph.n_edges}, isolated: {len(graph.isolated)}")
 _i, _j, codes = graph.upper_edges()

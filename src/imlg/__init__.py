@@ -17,7 +17,7 @@ from .design import (
     write_design,
     write_labels,
 )
-from .features import EncoderConfig, build_feature_matrix, encode_region, encode_type, feature_dim
+from .features import build_feature_matrix, encode_region, encode_type, feature_dim
 from .graphs import (
     BuildConfig,
     CircuitGraph,
@@ -27,7 +27,6 @@ from .graphs import (
     build_graph,
     build_residual_edges,
     clique_expansion_count,
-    node_order,
     read_graph,
     write_graph,
 )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import Field, fields
 from pathlib import Path
 
 from .design import (
@@ -18,7 +19,6 @@ from .design import (
     write_design,
     write_labels,
 )
-from .features import EncoderConfig
 from .graphs import BuildConfig, build_graph, read_graph, write_graph
 from .metrics import render_report, report, roc_lines
 from .model import HyperParams
@@ -33,23 +33,19 @@ from .train import (
     write_predictions,
 )
 
-DEFAULTS: dict[str, object] = {
-    "lr": 0.001,
-    "weight_decay": 0.0005,
-    "epochs": 1000,
-    "hidden_dim": 64,
-    "lambda": 1.0,
-    "eta": 10.0,
-    "smote_k": 5,
-    "threshold": 0.5,
-    "region_depth": 4,
-    "L": 5.0,
-    "edge_cap": 16,
-    "cluster_size": 10000,
-    "clusters_per_batch": 1,
-    "seed": 0,
-    "baseline_mode": False,
+# The config keys are the fields of these classes, which declare each
+# setting's default and check its value; two keys keep shorter names.
+_RENAMED = {"lam": "lambda", "edge_threshold": "threshold"}
+KEYS: dict[str, tuple[type, Field]] = {
+    _RENAMED.get(f.name, f.name): (owner, f)
+    for owner in (TrainConfig, HyperParams, BuildConfig)
+    for f in fields(owner)
 }
+DEFAULTS: dict[str, object] = {key: f.default for key, (_owner, f) in KEYS.items()}
+
+# gen's flags for GenConfig fields; GenConfig supplies their defaults
+_GEN_FLAGS = {"--lut-mix": "lut_ff_mix", "--hotspots": "hotspot_count",
+              "--target-minority": "target_minority"}
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -93,8 +89,7 @@ def load_config(path: str | None) -> dict:
 def _effective_config(ns: argparse.Namespace) -> dict:
     cfg = load_config(ns.config)
     for key in DEFAULTS:
-        # a flag's dest is its config key, except --lambda (a Python keyword)
-        value = getattr(ns, "lam" if key == "lambda" else key, None)
+        value = getattr(ns, key, None)  # a config flag's dest is its key
         if value is not None:
             cfg[key] = value
     return cfg
@@ -105,14 +100,9 @@ def _print_config(cfg: dict):
         print(f"config {key} = {cfg[key]}")
 
 
-def _hyper(cfg: dict) -> HyperParams:
-    return HyperParams(
-        hidden_dim=cfg["hidden_dim"],
-        lam=cfg["lambda"],
-        eta=cfg["eta"],
-        smote_k=cfg["smote_k"],
-        edge_threshold=cfg["threshold"],
-    )
+def _settings(cfg: dict, owner: type):
+    """An `owner` instance holding the config values of its fields."""
+    return owner(**{f.name: cfg[key] for key, (cls, f) in KEYS.items() if cls is owner})
 
 
 def _read(path: str, parse, *args):
@@ -127,15 +117,10 @@ def _read(path: str, parse, *args):
 def cmd_gen(ns) -> int:
     cfg = _effective_config(ns)
     _print_config(cfg)
-    gen_cfg = GenConfig(
-        n_instances=ns.instances,
-        lut_ff_mix=ns.lut_mix,
-        layout_w=ns.layout[0] if ns.layout else None,
-        layout_h=ns.layout[1] if ns.layout else None,
-        hotspot_count=ns.hotspots,
-        target_minority=ns.target_minority,
-        seed=cfg["seed"],
-    )
+    given = {k: getattr(ns, k) for k in _GEN_FLAGS.values() if getattr(ns, k) is not None}
+    if ns.layout:
+        given["layout_w"], given["layout_h"] = ns.layout
+    gen_cfg = GenConfig(n_instances=ns.instances, seed=cfg["seed"], **given)
     design, labels = generate_labeled(gen_cfg)
     design_path = Path(f"{ns.out}.design")
     labels_path = Path(f"{ns.out}.labels")
@@ -149,16 +134,12 @@ def cmd_gen(ns) -> int:
 def cmd_build_graph(ns) -> int:
     cfg = _effective_config(ns)
     _print_config(cfg)
+    build_cfg = _settings(cfg, BuildConfig)
     design = _read(ns.design, parse_design)
     labels = None
     if ns.labels:
         labels = _read(ns.labels, parse_labels, design)
-    graph = build_graph(
-        design,
-        labels,
-        cfg=BuildConfig(L=cfg["L"], edge_cap=cfg["edge_cap"]),
-        encoder_cfg=EncoderConfig(region_depth=cfg["region_depth"]),
-    )
+    graph = build_graph(design, labels, cfg=build_cfg)
     Path(ns.out).write_text(write_graph(graph), encoding="utf-8")
     print(
         f"wrote {ns.out} ({graph.n} nodes, {graph.n_edges} edges, "
@@ -170,19 +151,10 @@ def cmd_build_graph(ns) -> int:
 def cmd_train(ns) -> int:
     cfg = _effective_config(ns)
     _print_config(cfg)
+    hp, train_cfg = _settings(cfg, HyperParams), _settings(cfg, TrainConfig)
     graph = _read(ns.graph, read_graph)
     if graph.labels is None:
         raise ValueError(f"{ns.graph}: graph file has no LABEL lines; train needs labels")
-    hp = _hyper(cfg)
-    train_cfg = TrainConfig(
-        epochs=cfg["epochs"],
-        lr=cfg["lr"],
-        weight_decay=cfg["weight_decay"],
-        cluster_size=cfg["cluster_size"],
-        clusters_per_batch=cfg["clusters_per_batch"],
-        seed=cfg["seed"],
-        baseline_mode=cfg["baseline_mode"],
-    )
     params, log = train(graph, hp=hp, cfg=train_cfg)
     Path(ns.out).write_text(save_checkpoint(params, hp), encoding="utf-8")
     log_path = ns.log if ns.log else f"{ns.out}.log"
@@ -221,8 +193,9 @@ def cmd_eval(ns) -> int:
     if missing:
         raise ValueError(f"{ns.labels}: no label for predicted instance {missing[0]}")
     y = [truth[nm] for nm in names]
-    rep = report(probs, y, tau=cfg["threshold"])
-    text = render_report(rep, tau=cfg["threshold"])
+    tau = {} if ns.tau is None else {"tau": ns.tau}  # else metrics' default
+    rep = report(probs, y, **tau)
+    text = render_report(rep, **tau)
     print(text, end="")
     if ns.out:
         Path(ns.out).write_text(text, encoding="utf-8")
@@ -233,9 +206,18 @@ def cmd_eval(ns) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser):
+def _add_config(sub: argparse.ArgumentParser, *owners: type):
+    """--config, --seed and a --<key> flag (underscores as dashes) for each
+    config key of `owners`; a flag left out is None, so the file or the
+    default applies."""
     sub.add_argument("--config", help="key=value config file")
-    sub.add_argument("--seed", type=int, default=None)
+    for key, (owner, f) in KEYS.items():
+        if owner in owners or key == "seed":
+            flag = "--" + key.replace("_", "-")
+            if isinstance(f.default, bool):
+                sub.add_argument(flag, dest=key, action="store_true", default=None)
+            else:
+                sub.add_argument(flag, dest=key, type=type(f.default), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,45 +227,30 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("gen", help="generate a synthetic design + oracle labels")
-    _add_common(gen)
+    _add_config(gen)
     gen.add_argument("--instances", type=int, required=True)
-    gen.add_argument("--lut-mix", type=float, default=0.5)
+    for flag, name in _GEN_FLAGS.items():
+        gen.add_argument(flag, dest=name, type=type(getattr(GenConfig, name)))
     gen.add_argument("--layout", type=int, nargs=2, metavar=("W", "H"))
-    gen.add_argument("--hotspots", type=int, default=4)
-    gen.add_argument("--target-minority", type=float, default=0.10)
     gen.add_argument("--out", required=True, help="prefix for .design/.labels files")
     gen.set_defaults(func=cmd_gen)
 
     build = subs.add_parser("build-graph", help="design (+labels) -> graph file")
-    _add_common(build)
+    _add_config(build, BuildConfig)
     build.add_argument("--design", required=True)
     build.add_argument("--labels")
-    build.add_argument("--L", type=float, default=None)
-    build.add_argument("--edge-cap", type=int, default=None)
-    build.add_argument("--region-depth", type=int, default=None)
     build.add_argument("--out", required=True)
     build.set_defaults(func=cmd_build_graph)
 
     tr = subs.add_parser("train", help="graph file -> checkpoint + train log")
-    _add_common(tr)
+    _add_config(tr, TrainConfig, HyperParams)
     tr.add_argument("--graph", required=True)
     tr.add_argument("--out", required=True, help="checkpoint path")
     tr.add_argument("--log", help="train log path (default: <out>.log)")
-    tr.add_argument("--epochs", type=int, default=None)
-    tr.add_argument("--lr", type=float, default=None)
-    tr.add_argument("--weight-decay", type=float, default=None)
-    tr.add_argument("--cluster-size", type=int, default=None)
-    tr.add_argument("--clusters-per-batch", type=int, default=None)
-    tr.add_argument("--hidden-dim", type=int, default=None)
-    tr.add_argument("--lambda", dest="lam", type=float, default=None)
-    tr.add_argument("--eta", type=float, default=None)
-    tr.add_argument("--smote-k", type=int, default=None)
-    tr.add_argument("--threshold", type=float, default=None)
-    tr.add_argument("--baseline-mode", action="store_true", default=None)
     tr.set_defaults(func=cmd_train)
 
     inf = subs.add_parser("infer", help="checkpoint + graph -> prediction file")
-    _add_common(inf)
+    _add_config(inf)
     inf.add_argument("--ckpt", required=True)
     inf.add_argument("--graph", required=True)
     inf.add_argument("--design", help="design file supplying instance names")
@@ -291,12 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     inf.set_defaults(func=cmd_infer)
 
     ev = subs.add_parser("eval", help="prediction + label files -> report")
-    _add_common(ev)
+    _add_config(ev)
     ev.add_argument("--pred", required=True)
     ev.add_argument("--labels", required=True)
     ev.add_argument("--out")
     ev.add_argument("--roc-out")
-    ev.add_argument("--threshold", type=float, default=None)
+    ev.add_argument("--threshold", dest="tau", type=float,
+                    help="F1 decision threshold (default: metrics.report's)")
     ev.set_defaults(func=cmd_eval)
     return parser
 

@@ -8,20 +8,9 @@ code prefixes, and the feature dimension is 6 + 4 * depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .design import INSTANCE_TYPES, TYPE_INDEX, PlacementDesign
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    region_depth: int = 4
-
-    def __post_init__(self):
-        if self.region_depth < 1:
-            raise ValueError(f"region_depth must be >= 1, got {self.region_depth}")
 
 
 def feature_dim(region_depth: int) -> int:
@@ -55,9 +44,9 @@ def encode_region(x: float, y: float, layout_w: float, layout_h: float, depth: i
     return code
 
 
-def build_feature_matrix(design: PlacementDesign, cfg: EncoderConfig = EncoderConfig()) -> np.ndarray:
-    """Feature rows in graph node order (instances sorted by name)."""
-    depth = cfg.region_depth
+def build_feature_matrix(design: PlacementDesign, depth: int) -> np.ndarray:
+    """Feature rows in graph node order (instances sorted by name), with
+    `depth` region levels."""
     rows = np.zeros((len(design.instances), feature_dim(depth)))
     for i, inst in enumerate(sorted(design.instances, key=lambda s: s.name)):
         rows[i, :6] = encode_type(inst.type)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import LabelSet, PlacementDesign
-from .features import EncoderConfig, build_feature_matrix
+from .features import build_feature_matrix
 from .sparse import Adjacency, RepeatedEdge
 from .spatial import GridIndex, by_distance
 
@@ -47,12 +47,15 @@ class GraphFormatError(ValueError):
 class BuildConfig:
     L: float = 5.0  # congeneric Chebyshev distance bound, in slice units
     edge_cap: int = 16  # max congeneric candidates kept per node
+    region_depth: int = 4  # levels of the 2x2 region code in the node features
 
     def __post_init__(self):
-        if self.L < 1:
+        if not self.L >= 1:
             raise ValueError(f"L must be >= 1, got {self.L}")
         if self.edge_cap < 1:
             raise ValueError(f"edge_cap must be >= 1, got {self.edge_cap}")
+        if self.region_depth < 1:
+            raise ValueError(f"region_depth must be >= 1, got {self.region_depth}")
 
 
 @dataclass
@@ -135,11 +138,6 @@ class _NodeTable:
         return len(self.names)
 
 
-def node_order(design: PlacementDesign) -> list[str]:
-    """Graph node order: instance names sorted."""
-    return sorted(inst.name for inst in design.instances)
-
-
 def _compatible(table: _NodeTable, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Broadcast mask of the same-class pairs (u, v) that could share a BLE:
     FFs with equal ck and sr nets, LUTs with at most 6 distinct input nets
@@ -179,7 +177,8 @@ def _congeneric_from_table(table: _NodeTable, cfg: BuildConfig) -> set[tuple[int
 
 def build_congeneric_edges(design: PlacementDesign, cfg: BuildConfig = BuildConfig()) -> set:
     """Mutual nearest-candidate edges between packing-compatible same-class
-    nodes within Chebyshev distance L. Node ids follow node_order()."""
+    nodes within Chebyshev distance L. A node id is the position of its
+    instance name in sorted order."""
     return _congeneric_from_table(_NodeTable(design), cfg)
 
 
@@ -237,7 +236,6 @@ def build_graph(
     design: PlacementDesign,
     labels: LabelSet | None = None,
     cfg: BuildConfig = BuildConfig(),
-    encoder_cfg: EncoderConfig = EncoderConfig(),
 ) -> CircuitGraph:
     """Assemble the full graph: three edge rules merged with precedence
     congeneric > correlation > residual, features and optional labels."""
@@ -259,7 +257,7 @@ def build_graph(
         i,
         j,
         list(rule_of.values()),
-        features=build_feature_matrix(design, encoder_cfg),
+        features=build_feature_matrix(design, cfg.region_depth),
         labels=label_vec,
     )
 

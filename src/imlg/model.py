@@ -41,12 +41,11 @@ class HyperParams:
     eta: float = 10.0  # extra cost on mispredicting actual edges; must be > 1
     smote_k: int = 5
     edge_threshold: float = 0.5
-    oversample_to_balance: bool = True
 
     def __post_init__(self):
         if self.hidden_dim < 1:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if not self.eta > 1:
             raise ValueError(f"eta must be > 1, got {self.eta}")
@@ -97,16 +96,14 @@ class SmotePlan:
         return len(self.parents)
 
 
-def smote_oversample(
-    z: np.ndarray, labels: np.ndarray, k: int, rng, balance: bool = True
-) -> SmotePlan:
+def smote_oversample(z: np.ndarray, labels: np.ndarray, k: int, rng) -> SmotePlan:
     """Plan synthetic minority rows to balance the batch: parent a cycles
     round-robin over minority nodes, parent b is drawn from a's k nearest
     minority neighbors in embedding space, delta ~ U[0,1]."""
     labels = np.asarray(labels)
     minority = np.flatnonzero(labels == 1)
     majority_count = int((labels == 0).sum())
-    m = majority_count - len(minority) if balance else 0
+    m = majority_count - len(minority)
     if m <= 0:
         return SmotePlan()
     if len(minority) < 2:
@@ -250,12 +247,9 @@ class ForwardResult:
     objective: Tensor
     clf_loss: Tensor
     rec_loss: Tensor | None  # None in baseline mode
-    probs: np.ndarray  # class probabilities for all augmented nodes
     y_aug: np.ndarray
     plan: SmotePlan
     a_aug: AugmentedAdjacency | None
-    z: np.ndarray
-    z_aug: np.ndarray
 
     @property
     def l_clf(self) -> float:
@@ -282,25 +276,22 @@ def forward(
     w1 = params.get("Enc", "W1")
     z = encode(a, x, w1)
     if baseline:
-        logp, probs = classify(a, z, params.get("Clf", "W_agg"), params.get("Clf", "W_head"))
+        logp, _probs = classify(a, z, params.get("Clf", "W_agg"), params.get("Clf", "W_head"))
         l_clf = loss_clf(logp, y)
         return ForwardResult(
             objective=l_clf,
             clf_loss=l_clf,
             rec_loss=None,
-            probs=probs,
             y_aug=np.asarray(y),
             plan=SmotePlan(),
             a_aug=None,
-            z=z.data,
-            z_aug=z.data,
         )
     if frozen is not None:
         plan = frozen.plan
     else:
         if rng is None:
             raise ValueError("training forward needs an rng for oversampling")
-        plan = smote_oversample(z.data, y, hp.smote_k, rng, hp.oversample_to_balance)
+        plan = smote_oversample(z.data, y, hp.smote_k, rng)
     z_aug = apply_smote(z, plan)
     y_aug = np.concatenate([np.asarray(y), np.ones(plan.m, dtype=np.int64)])
     s = params.get("Dec", "S")
@@ -310,17 +301,14 @@ def forward(
         a_aug = frozen.a_aug
     else:
         a_aug = decode_adjacency(z_aug.data, s.data, a, hp.edge_threshold)
-    logp, probs = classify(a_aug, z_aug, params.get("Clf", "W_agg"), params.get("Clf", "W_head"))
+    logp, _probs = classify(a_aug, z_aug, params.get("Clf", "W_agg"), params.get("Clf", "W_head"))
     l_clf = loss_clf(logp, y_aug)
     objective = total_objective(l_clf, l_rec, hp.lam)
     return ForwardResult(
         objective=objective,
         clf_loss=l_clf,
         rec_loss=l_rec,
-        probs=probs,
         y_aug=y_aug,
         plan=plan,
         a_aug=a_aug,
-        z=z.data,
-        z_aug=z_aug.data,
     )

@@ -34,9 +34,6 @@ class ParamStore:
     def items(self):
         return [(k, self._params[k]) for k in self.keys()]
 
-    def by_owner(self, owner: str) -> list[tuple[tuple[str, str], Tensor]]:
-        return [(k, t) for k, t in self.items() if k[0] == owner]
-
     def zero_grads(self):
         for _k, t in self.items():
             t.grad = None
@@ -44,12 +41,6 @@ class ParamStore:
     def grads(self) -> dict[tuple[str, str], np.ndarray]:
         """Collected non-None gradients after a backward pass."""
         return {k: t.grad for k, t in self.items() if t.grad is not None}
-
-    def copy(self) -> "ParamStore":
-        dup = ParamStore()
-        for (owner, name), t in self.items():
-            dup.add(owner, name, t.data.copy())
-        return dup
 
 
 def evaluate_with_gradients(fn, store: ParamStore) -> tuple[float, dict]:

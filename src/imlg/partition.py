@@ -146,7 +146,6 @@ def refine(
     k: int,
     min_size: float,
     max_size: float,
-    max_passes: int = _MAX_REFINE_PASSES,
 ) -> np.ndarray:
     """Greedy boundary passes: move a node to the neighboring cluster with
     the largest positive cut gain, respecting the size bounds. The cut is
@@ -155,7 +154,7 @@ def refine(
     weights = np.zeros(k)
     for u, c in enumerate(assignment):
         weights[c] += node_w[u]
-    for _ in range(max_passes):
+    for _ in range(_MAX_REFINE_PASSES):
         moved = False
         for u in range(len(wadj)):
             c = int(assignment[u])

@@ -11,7 +11,7 @@ edges.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -45,10 +45,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.cluster_size < 1:
+            raise ValueError(f"cluster_size must be >= 1, got {self.cluster_size}")
         if self.clusters_per_batch < 1:
-            raise ValueError("clusters_per_batch must be >= 1")
+            raise ValueError(f"clusters_per_batch must be >= 1, got {self.clusters_per_batch}")
 
 
 @dataclass
@@ -68,24 +72,16 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-def _labels_vector(graph: CircuitGraph, labels) -> np.ndarray:
-    if labels is None:
-        if graph.labels is None:
-            raise ValueError("graph carries no labels and none were given")
-        return np.asarray(graph.labels, dtype=np.int64)
-    if hasattr(labels, "labels"):
-        return np.array([labels.labels[nm] for nm in graph.names], dtype=np.int64)
-    return np.asarray(labels, dtype=np.int64)
-
-
 def train(
     graph: CircuitGraph,
-    labels=None,
     hp: HyperParams = HyperParams(),
     cfg: TrainConfig = TrainConfig(),
 ) -> tuple[ParamStore, TrainLog]:
-    """Returns the trained parameters and the full per-iteration log."""
-    y = _labels_vector(graph, labels)
+    """Trains on the graph's own labels; returns the trained parameters and
+    the full per-iteration log."""
+    if graph.labels is None:
+        raise ValueError("graph carries no labels")
+    y = np.asarray(graph.labels, dtype=np.int64)
     if len(np.unique(y)) < 2:
         raise ValueError("training needs both classes present in the labels")
     if graph.features is None:
@@ -156,16 +152,9 @@ def infer(graph: CircuitGraph, params: ParamStore) -> tuple[np.ndarray, np.ndarr
 # ---------------------------------------------------------------------------
 # checkpoints and prediction files
 
-_HP_FIELDS = (
-    ("hidden_dim", int),
-    ("lam", float),
-    ("eta", float),
-    ("smote_k", int),
-    ("edge_threshold", float),
-    ("oversample_to_balance", bool),
-)
-# written as 0 by earlier versions; only the 0/1 synthetic decoder remains
-_RETIRED_HP = "soft_synthetic_edges"
+# flags earlier versions wrote, with the one value the model still has:
+# only the 0/1 synthetic decoder and oversampling to balance remain
+_RETIRED_HP = {"soft_synthetic_edges": "0", "oversample_to_balance": "1"}
 
 
 def _fmt(value: float) -> str:
@@ -174,14 +163,9 @@ def _fmt(value: float) -> str:
 
 def save_checkpoint(params: ParamStore, hp: HyperParams) -> str:
     lines = ["IMLG-CKPT v1"]
-    for name, kind in _HP_FIELDS:
-        value = getattr(hp, name)
-        if kind is bool:
-            lines.append(f"HP {name} {int(value)}")
-        elif kind is int:
-            lines.append(f"HP {name} {value}")
-        else:
-            lines.append(f"HP {name} {_fmt(value)}")
+    for f in fields(HyperParams):
+        value = getattr(hp, f.name)
+        lines.append(f"HP {f.name} {_fmt(value) if isinstance(value, float) else value}")
     for (owner, name), tensor in params.items():
         rows, cols = tensor.data.shape
         lines.append(f"PARAM {owner} {name} {rows} {cols}")
@@ -192,12 +176,13 @@ def save_checkpoint(params: ParamStore, hp: HyperParams) -> str:
 
 def load_checkpoint(text: str) -> tuple[ParamStore, HyperParams]:
     """Parse an IMLG-CKPT document. A malformed line, a non-numeric or
-    non-finite weight and a flag other than 0 or 1 raise CheckpointError
-    with the line number."""
+    non-finite weight, a hyperparameter HyperParams rejects and a retired
+    flag other than its kept value raise CheckpointError with the line
+    number."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "IMLG-CKPT v1":
         raise CheckpointError("expected header 'IMLG-CKPT v1'")
-    kinds = dict(_HP_FIELDS)
+    kinds = {f.name: type(f.default) for f in fields(HyperParams)}
     hp_values: dict[str, object] = {}
     params = ParamStore()
     at = 1
@@ -211,23 +196,24 @@ def load_checkpoint(text: str) -> tuple[ParamStore, HyperParams]:
             if len(tokens) != 3:
                 raise CheckpointError(f"bad HP line: {lines[at - 1]!r}", lineno)
             key, raw = tokens[1], tokens[2]
-            if key == _RETIRED_HP:
-                if raw != "0":
+            if key in _RETIRED_HP:
+                if raw not in ("0", "1"):
+                    raise CheckpointError(f"{key} expects 0 or 1, got '{raw}'", lineno)
+                if raw != _RETIRED_HP[key]:
                     raise CheckpointError(f"{key} {raw} is no longer supported", lineno)
                 continue
             if key not in kinds:
                 raise CheckpointError(f"unknown hyperparameter '{key}'", lineno)
-            kind = kinds[key]
-            if kind is bool:
-                if raw not in ("0", "1"):
-                    raise CheckpointError(f"{key} expects 0 or 1, got '{raw}'", lineno)
-                hp_values[key] = raw == "1"
-            else:
-                try:
-                    hp_values[key] = kind(raw)
-                except ValueError:
-                    msg = f"{key} expects {kind.__name__}, got '{raw}'"
-                    raise CheckpointError(msg, lineno) from None
+            try:
+                value = kinds[key](raw)
+            except ValueError:
+                msg = f"{key} expects {kinds[key].__name__}, got '{raw}'"
+                raise CheckpointError(msg, lineno) from None
+            try:
+                replace(HyperParams(), **{key: value})  # the field's own checks
+            except ValueError as err:
+                raise CheckpointError(str(err), lineno) from None
+            hp_values[key] = value
         elif tokens[0] == "PARAM":
             if len(tokens) != 5 or not (tokens[3].isdigit() and tokens[4].isdigit()):
                 raise CheckpointError(f"bad PARAM line: {lines[at - 1]!r}", lineno)
@@ -254,10 +240,10 @@ def load_checkpoint(text: str) -> tuple[ParamStore, HyperParams]:
             params.add(owner, name, block)
         else:
             raise CheckpointError(f"unknown directive '{tokens[0]}'", lineno)
-    try:
-        hp = HyperParams(**hp_values)
-    except TypeError as err:
-        raise CheckpointError(f"incomplete hyperparameters: {err}") from err
+    missing = [name for name in kinds if name not in hp_values]
+    if missing:
+        raise CheckpointError(f"missing hyperparameter {missing[0]}")
+    hp = HyperParams(**hp_values)
     for required in (("Enc", "W1"), ("Dec", "S"), ("Clf", "W_agg"), ("Clf", "W_head")):
         if required not in dict(params.items()):
             raise CheckpointError(f"missing parameter {required[0]}.{required[1]}")

@@ -14,7 +14,7 @@ import pytest
 from imlg import autodiff as ad
 from imlg.autodiff import Tensor, finite_difference
 from imlg.cli import main
-from imlg.features import EncoderConfig, build_feature_matrix, feature_dim
+from imlg.features import build_feature_matrix, feature_dim
 from imlg.graphs import (
     EDGE_RULES,
     BuildConfig,
@@ -246,9 +246,8 @@ def test_c07_partitioner_properties():
 
 def test_c08_region_encoding_properties():
     for depth in (1, 2, 4):
-        cfg = EncoderConfig(region_depth=depth)
         design, _labels = generate_labeled(GenConfig(n_instances=200, seed=3))
-        rows = build_feature_matrix(design, cfg)
+        rows = build_feature_matrix(design, depth)
         assert rows.shape[1] == feature_dim(depth) == 6 + 4 * depth
         assert (rows.sum(axis=1) == depth + 1).all()
         # same level-l cell => identical first 4*l region entries

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from imlg.design import INSTANCE_TYPES, Instance, PlacementDesign
-from imlg.features import (
-    EncoderConfig,
-    build_feature_matrix,
-    encode_region,
-    encode_type,
-    feature_dim,
-)
+from imlg.features import build_feature_matrix, encode_region, encode_type, feature_dim
+from imlg.graphs import BuildConfig
 
 
 def test_type_one_hot_fixed_order():
@@ -44,7 +39,7 @@ def test_row_structure():
     design = PlacementDesign(
         4, 4, [Instance("a", "LUT3", 0.5, 0.5), Instance("b", "FF", 3.5, 3.5)], []
     )
-    rows = build_feature_matrix(design, EncoderConfig(region_depth=1))
+    rows = build_feature_matrix(design, 1)
     assert rows.shape == (2, 10)
     assert (rows.sum(axis=1) == 2).all()  # one 1 per one-hot block
 
@@ -57,7 +52,7 @@ def test_every_row_has_depth_plus_one_ones():
     ]
     design = PlacementDesign(9, 7, insts, [])
     for depth in (1, 3, 4):
-        rows = build_feature_matrix(design, EncoderConfig(region_depth=depth))
+        rows = build_feature_matrix(design, depth)
         assert rows.shape[1] == feature_dim(depth) == 6 + 4 * depth
         assert (rows.sum(axis=1) == depth + 1).all()
         assert ((rows == 0) | (rows == 1)).all()
@@ -67,7 +62,7 @@ def test_same_type_same_deep_cell_identical_rows():
     design = PlacementDesign(
         16, 16, [Instance("a", "FF", 3.0, 3.0), Instance("b", "FF", 3.9, 3.9)], []
     )
-    rows = build_feature_matrix(design, EncoderConfig(region_depth=2))
+    rows = build_feature_matrix(design, 2)
     assert np.array_equal(rows[0], rows[1])
 
 
@@ -90,5 +85,5 @@ def test_non_power_of_two_layout_total():
 
 
 def test_bad_depth_rejected():
-    with pytest.raises(ValueError):
-        EncoderConfig(region_depth=0)
+    with pytest.raises(ValueError, match="region_depth must be >= 1"):
+        BuildConfig(region_depth=0)

@@ -1,4 +1,6 @@
 import tracemalloc
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,10 +191,70 @@ def test_checkpoint_rejects_non_numeric_weight():
         load_checkpoint(text)
 
 
+def _with_line_after_header(line):
+    """A valid checkpoint with `line` inserted as its line 2."""
+    hp = HyperParams(hidden_dim=8)
+    header, rest = save_checkpoint(init_params(10, hp, seed=0), hp).split("\n", 1)
+    return f"{header}\n{line}\n{rest}", hp
+
+
 def test_checkpoint_rejects_flag_other_than_0_or_1():
-    text, line = _corrupt_checkpoint("HP oversample_to_balance", 0, "7")
-    with pytest.raises(CheckpointError, match=f"^line {line}: oversample_to_balance expects 0 or 1"):
+    text, _hp = _with_line_after_header("HP oversample_to_balance 7")
+    with pytest.raises(CheckpointError, match="^line 2: oversample_to_balance expects 0 or 1"):
         load_checkpoint(text)
+
+
+def test_checkpoint_retired_oversample_to_balance_key():
+    text, hp = _with_line_after_header("HP oversample_to_balance 1")
+    assert load_checkpoint(text)[1] == hp
+    with pytest.raises(CheckpointError, match="^line 2: oversample_to_balance 0 is no longer supported"):
+        load_checkpoint(text.replace("oversample_to_balance 1", "oversample_to_balance 0"))
+
+
+@pytest.mark.parametrize(
+    "prefix,value,message",
+    [
+        ("HP lam", "-1", "lam must be >= 0, got -1.0"),
+        ("HP lam", "nan", "lam must be >= 0, got nan"),
+        ("HP eta", "1", "eta must be > 1"),
+        ("HP edge_threshold", "1.5", "edge_threshold must be in"),
+        ("HP hidden_dim", "0", "hidden_dim must be >= 1"),
+    ],
+)
+def test_checkpoint_names_line_of_rejected_hyperparameter(prefix, value, message):
+    text, line = _corrupt_checkpoint(prefix, 0, value)
+    with pytest.raises(CheckpointError, match=f"^line {line}: {message}"):
+        load_checkpoint(text)
+
+
+def test_checkpoint_missing_hyperparameter_rejected():
+    hp = HyperParams(hidden_dim=8)
+    text = save_checkpoint(init_params(10, hp, seed=0), hp).replace("HP eta 10\n", "")
+    with pytest.raises(CheckpointError, match="missing hyperparameter eta"):
+        load_checkpoint(text)
+
+
+def test_checkpoint_roundtrips_every_hyperparam_field():
+    changed = dict(hidden_dim=5, lam=0.25, eta=1.5, smote_k=2, edge_threshold=0.3)
+    assert set(changed) == {f.name for f in fields(HyperParams)}
+    hp = HyperParams(**changed)
+    assert all(getattr(hp, f.name) != f.default for f in fields(HyperParams))
+    _params, hp2 = load_checkpoint(save_checkpoint(init_params(4, hp, seed=0), hp))
+    assert hp2 == hp
+
+
+def test_checkpoint_from_earlier_version_loads_and_predicts_identically():
+    # written by the version before HyperParams.oversample_to_balance was
+    # retired: toy_graph(8) trained as in test_checkpoint_roundtrip_is_exact
+    data = Path(__file__).parent / "data"
+    text = (data / "parent_toy8.ckpt").read_text()
+    assert "HP oversample_to_balance 1\n" in text
+    params, hp = load_checkpoint(text)
+    assert hp == HyperParams(hidden_dim=8, lam=0.75, eta=3.5, smote_k=4, edge_threshold=0.41)
+    assert save_checkpoint(params, hp) == text.replace("HP oversample_to_balance 1\n", "")
+    graph = toy_graph(8)
+    probs, labels = infer(graph, params)
+    assert write_predictions(graph.names, probs, labels) == (data / "parent_toy8.pred").read_text()
 
 
 def test_predictions_roundtrip():
