@@ -51,7 +51,9 @@ _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-def _coerce(key: str, raw: str):
+def _coerce(key: str, raw: str, where: str):
+    """The config value `raw` as the type of key's default; an error starts
+    with `where`, the file and line it came from."""
     default = DEFAULTS[key]
     if isinstance(default, bool):
         low = raw.lower()
@@ -59,12 +61,12 @@ def _coerce(key: str, raw: str):
             return True
         if low in _FALSE:
             return False
-        raise ValueError(f"config key '{key}' expects a boolean, got '{raw}'")
+        raise ValueError(f"{where}: config key '{key}' expects a boolean, got '{raw}'")
     try:
         return type(default)(raw)
     except ValueError:
         raise ValueError(
-            f"config key '{key}' expects {type(default).__name__}, got '{raw}'"
+            f"{where}: config key '{key}' expects {type(default).__name__}, got '{raw}'"
         ) from None
 
 
@@ -82,7 +84,7 @@ def load_config(path: str | None) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
-        cfg[key] = _coerce(key, value)
+        cfg[key] = _coerce(key, value, f"{path}:{lineno}")
     return cfg
 
 

@@ -13,8 +13,10 @@ Neighbor means go through `sparse.MeanAggregation` as a constant linear
 operator, on the batch's CSR adjacency in the encoder and on the real CSR
 plus the synthetic 0/1 rows in the classifier; inference runs the same
 `encode` and `classify` on the whole graph. The only dense pairwise arrays
-are the n x n reconstruction scores of the real nodes and the m x (n+m)
-synthetic rows, so a step holds O(n^2 + m (n+m)) floats.
+are the n x n reconstruction scores of the real nodes (kept for backward
+without the logits they came from) and the m x (n+m) synthetic rows, held
+as bool and thresholded one block of rows at a time, so a step holds
+O(n^2) floats plus m (n+m) bools.
 
 Gradient routing is structural: the classifier consumes the thresholded
 adjacency as a constant, so the decoder weight only ever sees the
@@ -108,9 +110,7 @@ def smote_oversample(z: np.ndarray, labels: np.ndarray, k: int, rng) -> SmotePla
         return SmotePlan()
     if len(minority) < 2:
         return SmotePlan(skipped=True)
-    zm = z[minority]
-    with np.errstate(over="ignore"):
-        d2 = np.sum((zm[:, None, :] - zm[None, :, :]) ** 2, axis=2)
+    d2 = _squared_distances(z[minority])
     np.fill_diagonal(d2, np.inf)
     k_eff = min(k, len(minority) - 1)
     # stable sort ties by minority order, which is ascending node id
@@ -124,6 +124,18 @@ def smote_oversample(z: np.ndarray, labels: np.ndarray, k: int, rng) -> SmotePla
         delta = float(rng.random())
         parents.append((a, b, delta))
     return SmotePlan(parents)
+
+
+def _squared_distances(zm: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of zm, summed over the
+    differences one block of rows at a time, which rounds exactly as the
+    whole rows x rows x features tensor would."""
+    d2 = np.empty((len(zm), len(zm)))
+    with np.errstate(over="ignore"):
+        for lo, hi in ad.row_blocks(len(zm)):
+            diff = zm[lo:hi, None, :] - zm[None, :, :]
+            d2[lo:hi] = np.square(diff, out=diff).sum(axis=2)
+    return d2
 
 
 class _SmoteRows:
@@ -169,16 +181,22 @@ def decode_adjacency(
     the classifier.
 
     Thresholding happens in logit space (sigmoid is monotone), and only the
-    synthetic rows are computed: (Z_s S Z^T > logit tau) | (Z_s S^T Z^T >
-    logit tau), the second as the transpose of Z S Z_s^T."""
+    synthetic rows are computed, as bool: (Z_s S Z^T > logit tau) | (Z_s
+    S^T Z^T > logit tau), the second as the transpose of Z S Z_s^T. Each
+    product is computed and thresholded one block of `autodiff.ROW_BLOCK`
+    output columns at a time; on one BLAS thread this gives the whole
+    product's logits bit for bit, and on more a few may differ in the last
+    bit, which cannot move a logit across logit tau = 0 (tau = 0.5)."""
     n = a_real.n
+    m = len(z_tilde) - n
     logit_tau = np.log(tau / (1.0 - tau))
     zs = z_tilde @ s
-    rows = zs[n:] @ z_tilde.T > logit_tau
-    rows |= (zs @ z_tilde[n:].T).T > logit_tau
-    synthetic = rows.astype(np.float64)
-    m = len(synthetic)
-    synthetic[np.arange(m), n + np.arange(m)] = 0.0
+    synthetic = np.empty((m, n + m), dtype=bool)
+    for lo, hi in ad.row_blocks(n + m):
+        np.greater(zs[n:] @ z_tilde[lo:hi].T, logit_tau, out=synthetic[:, lo:hi])
+    for lo, hi in ad.row_blocks(m):
+        synthetic[lo:hi] |= (zs @ z_tilde[n + lo : n + hi].T).T > logit_tau
+    synthetic[np.arange(m), n + np.arange(m)] = False
     return AugmentedAdjacency(a_real, synthetic)
 
 

@@ -4,15 +4,18 @@
 `indices`, `deg`): the storage of a circuit graph, and of each batch cut
 out of it.
 `AugmentedAdjacency` adds the decoder's synthetic nodes: the real CSR plus
-the m x (n+m) 0/1 rows of the synthetic nodes, whose transpose gives the
+the m x (n+m) bool rows of the synthetic nodes, whose transpose gives the
 synthetic columns. `MeanAggregation` turns either into the row-normalized
 neighbor mean as a constant linear operator for `autodiff.linear`; neither
-ever holds an (n+m) x (n+m) array.
+ever holds an (n+m) x (n+m) array, and the synthetic rows become float64
+only one block of `autodiff.ROW_BLOCK` rows at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .autodiff import row_blocks
 
 # Neighbor sums gather at most this many rows of the input at a time, so a
 # pass over all edges never holds an edges x features copy of its input.
@@ -97,7 +100,7 @@ class Adjacency:
 class AugmentedAdjacency:
     """A real batch adjacency plus m synthetic nodes numbered n..n+m-1.
 
-    `synthetic` holds the synthetic rows (m x (n+m), 0/1, zero diagonal);
+    `synthetic` holds the synthetic rows (m x (n+m), bool, zero diagonal);
     by symmetry its transpose is the synthetic columns. `self[n:]` returns
     those rows, so a caller can count synthetic edges without a dense
     matrix."""
@@ -122,11 +125,13 @@ class AugmentedAdjacency:
         return self.synthetic
 
     def neighbor_sum(self, x: np.ndarray) -> np.ndarray:
-        n = self.real.n
+        n, synthetic = self.real.n, self.synthetic
         out = np.empty((self.n, x.shape[1]))
         out[:n] = self.real.neighbor_sum(x[:n])
-        out[:n] += self.synthetic[:, :n].T @ x[n:]
-        out[n:] = self.synthetic @ x
+        for lo, hi in row_blocks(n):  # the synthetic columns of real rows
+            out[lo:hi] += synthetic[:, lo:hi].T.astype(np.float64) @ x[n:]
+        for lo, hi in row_blocks(len(synthetic)):
+            out[n + lo : n + hi] = synthetic[lo:hi].astype(np.float64) @ x
         return out
 
 

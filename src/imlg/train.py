@@ -176,15 +176,22 @@ def save_checkpoint(params: ParamStore, hp: HyperParams) -> str:
 
 def load_checkpoint(text: str) -> tuple[ParamStore, HyperParams]:
     """Parse an IMLG-CKPT document. A malformed line, a non-numeric or
-    non-finite weight, a hyperparameter HyperParams rejects and a retired
-    flag other than its kept value raise CheckpointError with the line
-    number."""
+    non-finite weight, a hyperparameter HyperParams rejects, a retired
+    flag other than its kept value and a repeated HP line or PARAM block
+    raise CheckpointError with the line number."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "IMLG-CKPT v1":
         raise CheckpointError("expected header 'IMLG-CKPT v1'")
     kinds = {f.name: type(f.default) for f in fields(HyperParams)}
     hp_values: dict[str, object] = {}
     params = ParamStore()
+    first_line: dict[str, int] = {}  # "HP key" or "PARAM owner.name" -> line
+
+    def once(what: str, lineno: int):
+        if what in first_line:
+            raise CheckpointError(f"repeated {what} (first at line {first_line[what]})", lineno)
+        first_line[what] = lineno
+
     at = 1
     while at < len(lines):
         lineno = at + 1
@@ -196,6 +203,7 @@ def load_checkpoint(text: str) -> tuple[ParamStore, HyperParams]:
             if len(tokens) != 3:
                 raise CheckpointError(f"bad HP line: {lines[at - 1]!r}", lineno)
             key, raw = tokens[1], tokens[2]
+            once(f"HP {key}", lineno)
             if key in _RETIRED_HP:
                 if raw not in ("0", "1"):
                     raise CheckpointError(f"{key} expects 0 or 1, got '{raw}'", lineno)
@@ -218,6 +226,7 @@ def load_checkpoint(text: str) -> tuple[ParamStore, HyperParams]:
             if len(tokens) != 5 or not (tokens[3].isdigit() and tokens[4].isdigit()):
                 raise CheckpointError(f"bad PARAM line: {lines[at - 1]!r}", lineno)
             owner, name = tokens[1], tokens[2]
+            once(f"PARAM {owner}.{name}", lineno)
             rows, cols = int(tokens[3]), int(tokens[4])
             if at + rows > len(lines):
                 raise CheckpointError(f"truncated checkpoint in {owner}.{name}", lineno)

@@ -103,10 +103,12 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 def test_bad_config_value_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("epochs = eleven\n")
+    cfg.write_text("# a comment line\nepochs = eleven\n")
     code = main(["gen", "--config", str(cfg), "--instances", "50", "--out", str(tmp_path / "x")])
     assert code == 1
-    assert "expects int" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:2: ")
+    assert "expects int" in err
 
 
 def test_missing_file_is_one_line_diagnostic(tmp_path, capsys):

@@ -357,3 +357,37 @@ def test_decode_scores_matches_manual_sigmoid():
     scores = decode_scores(Tensor(z), Tensor(s)).data
     manual = 1.0 / (1.0 + np.exp(-(z @ s @ z.T)))
     assert np.max(np.abs(scores - manual)) <= 1e-12
+
+
+def _arrays_reachable(tensor):
+    """Every array a tensor keeps: its data and, through its parents and
+    the closures of its backward, those of every tensor it depends on."""
+    arrays, seen, stack = [], set(), [tensor]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, Tensor):
+            stack += [obj.data, obj._backward, *obj._parents]
+        elif hasattr(obj, "__self__"):  # a bound method such as Tensor._accum
+            stack += [obj.__self__, obj.__func__]
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack += [cell.cell_contents for cell in obj.__closure__]
+    return arrays
+
+
+def test_decode_scores_keeps_no_other_n_by_n_array():
+    rng = np.random.default_rng(31)
+    n = 30
+    z, s = Tensor(rng.normal(size=(n, 4))), Tensor(rng.normal(size=(4, 4)))
+    scores = decode_scores(z, s)
+    large = [arr for arr in _arrays_reachable(scores) if arr.size >= n * n]
+    assert len(large) == 1 and large[0] is scores.data
+    # what it keeps is enough for the gradient: sum(sigmoid(Z S Z^T))
+    ad.sum_all(scores).backward()
+    d = scores.data * (1.0 - scores.data)
+    assert np.max(np.abs(z.grad - (d @ z.data @ s.data.T + d.T @ z.data @ s.data))) <= 1e-12
+    assert np.max(np.abs(s.grad - z.data.T @ d @ z.data)) <= 1e-12

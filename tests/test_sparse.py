@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from imlg import autodiff as ad
-from imlg import sparse
+from imlg import model, sparse
 from imlg.autodiff import Tensor
 from imlg.graphs import CircuitGraph
 from imlg.model import (
@@ -230,6 +230,7 @@ def test_decode_synthetic_block_matches_dense_reference(case, m, tau):
     aug = decode_adjacency(z_aug, s, csr(a), tau)
     ref, _ = ref_decode_adjacency(z_aug, s, a, tau)
     assert aug.synthetic.shape == (m, len(a) + m)
+    assert aug.synthetic.dtype == bool
     assert np.array_equal(dense(aug), ref)
     assert np.array_equal(aug[len(a):], ref[len(a):])
     op, ref_op = MeanAggregation(aug), ref_mean_aggregation_matrix(ref)
@@ -251,6 +252,42 @@ def test_classify_on_augmented_graph_matches_dense_aggregation():
     ref = np.exp(logits - logits.max(axis=1, keepdims=True))
     ref /= ref.sum(axis=1, keepdims=True)
     assert_rel(probs, ref)
+
+
+@pytest.mark.parametrize("total,bounds", [
+    (0, [(0, 0)]), (3, [(0, 3)]), (4, [(0, 4)]), (7, [(0, 7)]),
+    (8, [(0, 4), (4, 8)]), (11, [(0, 4), (4, 11)]), (13, [(0, 4), (4, 8), (8, 13)]),
+])
+def test_row_blocks_fold_a_short_last_block_into_the_one_before(total, bounds, monkeypatch):
+    monkeypatch.setattr(ad, "ROW_BLOCK", 4)
+    assert ad.row_blocks(total) == bounds
+
+
+@pytest.mark.parametrize("block", [1, 4])
+def test_row_blocked_work_matches_whole_array_references(block, monkeypatch):
+    # with blocks this small, every blocked loop below runs several times
+    monkeypatch.setattr(ad, "ROW_BLOCK", block)
+    a = random_adjacency(9, 30, isolated=(4,))
+    rng = np.random.default_rng(9)
+    z_aug = rng.normal(size=(43, 6))
+    s = rng.normal(size=(6, 6))
+    aug = decode_adjacency(z_aug, s, csr(a), 0.4)
+    ref, _ = ref_decode_adjacency(z_aug, s, a, 0.4)
+    assert np.array_equal(dense(aug), ref)
+    assert np.array_equal(aug.deg, ref.sum(axis=1))
+    op, ref_op = MeanAggregation(aug), ref_mean_aggregation_matrix(ref)
+    x = rng.normal(size=(43, 5))
+    assert_rel(op.apply(x), ref_op @ x)
+    assert_rel(op.apply_t(x), ref_op.T @ x)
+
+    for shape in [(11, 7), (9,), ()]:
+        logits = rng.normal(size=shape) * 40.0
+        e = np.exp(-np.abs(logits))
+        assert np.array_equal(ad.stable_sigmoid(logits), np.where(logits >= 0, 1.0, e) / (1.0 + e))
+
+    zm = rng.normal(size=(11, 6))
+    d2 = np.sum((zm[:, None, :] - zm[None, :, :]) ** 2, axis=2)
+    assert np.array_equal(model._squared_distances(zm), d2)
 
 
 def test_augmented_rows_other_than_synthetic_are_not_stored():

@@ -211,6 +211,25 @@ def test_checkpoint_retired_oversample_to_balance_key():
         load_checkpoint(text.replace("oversample_to_balance 1", "oversample_to_balance 0"))
 
 
+def test_checkpoint_rejects_repeated_hp_line():
+    text, _hp = _with_line_after_header("HP lam 0.25")
+    repeat = text.splitlines().index("HP lam 1") + 1
+    with pytest.raises(CheckpointError, match=f"^line {repeat}: repeated HP lam \\(first at line 2\\)$"):
+        load_checkpoint(text)
+
+
+def test_checkpoint_rejects_repeated_param_block():
+    hp = HyperParams(hidden_dim=8)
+    lines = save_checkpoint(init_params(10, hp, seed=0), hp).splitlines()
+    first = lines.index("PARAM Dec S 8 8")
+    text = "\n".join(lines + lines[first : first + 9]) + "\n"
+    with pytest.raises(
+        CheckpointError,
+        match=f"^line {len(lines) + 1}: repeated PARAM Dec.S \\(first at line {first + 1}\\)$",
+    ):
+        load_checkpoint(text)
+
+
 @pytest.mark.parametrize(
     "prefix,value,message",
     [
