@@ -12,6 +12,13 @@ its inputs nor a backward closure, so a computation over constants only
 sigmoid applied to an op output takes over that op's inputs and backward
 closure, since its own gradient needs only its output, so the input array
 is freed too.
+
+A backward closure owns the gradient array it is handed and may overwrite
+it: `Tensor.backward` drops an interior gradient once it has been passed
+on, and no op hands one array to two parents (`add` gives the second a
+copy). The sigmoid backward forms its product in the gradient it receives,
+so the reconstruction path of a training step holds two n x n arrays, the
+scores and one gradient, rather than three.
 """
 
 from __future__ import annotations
@@ -170,7 +177,8 @@ def add(a, b) -> Tensor:
         if a.requires_grad:
             a._accum(g)
         if b.requires_grad:
-            b._accum(g)
+            # a's backward may overwrite g
+            b._accum(g.copy() if a.requires_grad else g)
 
     with np.errstate(over="ignore", invalid="ignore"):
         return _result(a.data + b.data, (a, b), backward, "add")
@@ -255,10 +263,16 @@ def sigmoid(a) -> Tensor:
         parents, pull = (a,), a._accum
 
     def backward(g):
-        d = 1.0 - s  # the one temporary: g * s * (1 - s) in place
-        d *= s
-        d *= g
-        pull(d)
+        if g.ndim == 0:  # may be a numpy scalar, which has no place to write
+            pull(g * ((1.0 - s) * s))
+            return
+        # g * ((1 - s) * s) in g itself, which this closure owns
+        for lo, hi in row_blocks(len(g)):
+            d = 1.0 - s[lo:hi]
+            d *= s[lo:hi]
+            g[lo:hi] *= d
+            del d  # so that one block temporary is alive, not two
+        pull(g)
 
     return _result(s, parents, backward, "sigmoid")
 

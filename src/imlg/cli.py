@@ -1,8 +1,10 @@
 """Command-line pipeline: gen, build-graph, train, infer, eval.
 
-Every subcommand prints its effective configuration (defaults, then
-config file, then flags, flags winning) so a run can be reproduced from
-its log. All randomness is controlled by the single `seed` key.
+`gen`, `build-graph` and `train` print their effective configuration
+(defaults, then config file, then flags, flags winning) so a run can be
+reproduced from its log. `infer` and `eval` read no config key, so they
+print none, though a config file given to them is still checked. All
+randomness is controlled by the single `seed` key.
 """
 
 from __future__ import annotations
@@ -168,8 +170,7 @@ def cmd_train(ns) -> int:
 
 
 def cmd_infer(ns) -> int:
-    cfg = _effective_config(ns)
-    _print_config(cfg)
+    _effective_config(ns)  # checked; no key applies
     graph = _read(ns.graph, read_graph)
     params, _hp = _read(ns.ckpt, load_checkpoint)
     names = graph.names
@@ -187,8 +188,7 @@ def cmd_infer(ns) -> int:
 
 
 def cmd_eval(ns) -> int:
-    cfg = _effective_config(ns)
-    _print_config(cfg)
+    _effective_config(ns)  # checked; no key applies
     names, probs, _pred_labels = _read(ns.pred, read_predictions)
     truth = _read(ns.labels, read_label_lines)
     missing = [nm for nm in names if nm not in truth]

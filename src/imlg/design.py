@@ -78,9 +78,6 @@ class PlacementDesign:
     instances: list[Instance] = field(default_factory=list)
     nets: list[Net] = field(default_factory=list)
 
-    def instance_map(self) -> dict[str, Instance]:
-        return {inst.name: inst for inst in self.instances}
-
 
 @dataclass
 class LabelSet:

@@ -15,8 +15,9 @@ plus the synthetic 0/1 rows in the classifier; inference runs the same
 `encode` and `classify` on the whole graph. The only dense pairwise arrays
 are the n x n reconstruction scores of the real nodes (kept for backward
 without the logits they came from) and the m x (n+m) synthetic rows, held
-as bool and thresholded one block of rows at a time, so a step holds
-O(n^2) floats plus m (n+m) bools.
+as bool and thresholded one block of rows at a time. In backward the
+sigmoid reuses the reconstruction loss's gradient array in place, so a
+step holds two n x n float64 arrays plus m (n+m) bools.
 
 Gradient routing is structural: the classifier consumes the thresholded
 adjacency as a constant, so the decoder weight only ever sees the

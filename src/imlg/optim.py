@@ -43,15 +43,6 @@ class ParamStore:
         return {k: t.grad for k, t in self.items() if t.grad is not None}
 
 
-def evaluate_with_gradients(fn, store: ParamStore) -> tuple[float, dict]:
-    """Run fn(store) -> scalar Tensor and return (loss value, gradients
-    keyed by (owner, name))."""
-    store.zero_grads()
-    loss = fn(store)
-    loss.backward()
-    return float(loss.data), store.grads()
-
-
 class Adam:
     """Standard Adam; weight decay is decoupled (lr * wd * param is
     subtracted directly, never folded into the moments)."""

@@ -26,6 +26,8 @@ def run_pipeline(tmp, seed=1, extra_train=(), instances=300):
 
 def test_end_to_end_pipeline(tmp_path, capsys):
     base = run_pipeline(tmp_path)
+    # gen, build-graph and train print their config; infer and eval read none
+    assert capsys.readouterr().out.count("config seed = ") == 3
     report = (base / "d.report").read_text()
     for metric in ("tpr@20,", "tpr@40,", "f1,", "auc,"):
         assert metric in report

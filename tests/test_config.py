@@ -108,6 +108,11 @@ def test_config_threshold_key_does_not_move_eval_tau(tmp_path, capsys):
     assert main(_eval_files(tmp_path) + ["--config", str(tmp_path / "run.cfg")]) == 0
     out = capsys.readouterr().out
     assert "threshold 0.5" in out and "f1,0.66666666666666663" in out
+    # eval reads no config key, so the report's is the only threshold shown
+    assert not [ln for ln in out.splitlines() if ln.startswith("config ")]
+    assert [ln.split()[-2:] for ln in out.splitlines() if "threshold" in ln] == [
+        ["threshold", "0.5"]
+    ]
 
 
 def test_eval_threshold_flag_sets_tau(tmp_path, capsys):

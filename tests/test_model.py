@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from imlg import autodiff as ad
 from imlg.autodiff import Tensor, finite_difference
+from imlg.graphs import build_graph
 from imlg.model import (
     FrozenChoices,
     HyperParams,
@@ -20,6 +23,7 @@ from imlg.model import (
     total_objective,
 )
 from imlg.sparse import MeanAggregation
+from imlg.synth import GenConfig, generate_labeled
 
 from test_sparse import csr, dense
 
@@ -305,6 +309,43 @@ def test_full_objective_matches_finite_differences():
         ga, gf = analytic[key], fd[key]
         rel = np.max(np.abs(ga - gf) / np.maximum(np.abs(ga) + np.abs(gf), 1e-3))
         assert rel <= 1e-4, (key, rel)
+
+
+def test_backward_twice_gives_identical_gradients():
+    # the sigmoid backward overwrites the gradient it is handed; a second
+    # pass over the same graph must start from the same values
+    _a, _x, _y, params, _hp, res = _forward_with(3)
+    params.zero_grads()
+    res.objective.backward()
+    first = {key: g.copy() for key, g in params.grads().items()}
+    params.zero_grads()
+    res.objective.backward()
+    second = params.grads()
+    assert first.keys() == second.keys() == set(params.keys())
+    for key in first:
+        assert np.array_equal(first[key], second[key]), key
+
+
+def test_one_batch_step_holds_two_n_by_n_arrays():
+    # the whole 1250-node graph as one batch: scores and their gradient are
+    # the step's only n x n arrays, plus one block of rows at a time
+    graph = build_graph(*generate_labeled(GenConfig(1250, seed=103)))
+    hp = HyperParams()
+    params = init_params(graph.features.shape[1], hp, seed=0)
+    nxn = 8 * graph.n * graph.n
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = forward(graph.adj, graph.features, graph.labels, params, hp,
+                      rng=np.random.default_rng([0, 2]))
+        res.objective.backward()
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.plan.m > 0
+    # what the graph keeps after backward: the scores plus O((n+m) hidden)
+    other = live - base - nxn
+    assert peak - base < other + 2.5 * nxn, (peak - base - other) / nxn
 
 
 def test_forward_is_finite_and_preserves_real_block():

@@ -3,7 +3,7 @@ import pytest
 
 from imlg import autodiff as ad
 from imlg.autodiff import NonFiniteError, Tensor, finite_difference
-from imlg.optim import Adam, ParamStore, evaluate_with_gradients
+from imlg.optim import Adam, ParamStore
 
 
 def rel_err(a, b, floor=1e-3):
@@ -85,6 +85,36 @@ def test_each_primitive_against_finite_differences():
             assert rel_err(yt.grad, fd["y"]) <= 1e-6, name
 
 
+def test_gradient_reaching_two_parents_against_finite_differences():
+    # add hands its gradient to both sides and the sigmoid backward writes
+    # into the gradient it is handed, so each side must get its own array
+    rng = np.random.default_rng(4)
+    x0, w0, v0 = rng.normal(size=(4, 3)), rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+
+    def twice(t):
+        return ad.add(t, t)
+
+    builders = {
+        "sigmoid + matmul": lambda x, w, v: ad.add(ad.sigmoid(ad.matmul(x, w)), ad.matmul(x, v)),
+        "matmul + sigmoid": lambda x, w, v: ad.add(ad.matmul(x, v), ad.sigmoid(ad.matmul(x, w))),
+        "t + t": lambda x, w, v: twice(ad.sigmoid(ad.matmul(x, w))),
+        "leaf sigmoid + leaf": lambda x, w, v: ad.add(ad.sigmoid(w), v),
+        "leaf + leaf sigmoid": lambda x, w, v: ad.add(w, ad.sigmoid(w)),
+    }
+    for name, build in builders.items():
+        def loss(x, w, v):
+            out = build(x, w, v)
+            return ad.sum_all(ad.mul(out, out))
+
+        xt, wt, vt = Tensor(x0.copy()), Tensor(w0.copy()), Tensor(v0.copy())
+        loss(xt, wt, vt).backward()
+        fd = finite_difference(lambda: float(loss(Tensor(x0), Tensor(w0), Tensor(v0)).data),
+                               {"x": x0, "w": w0, "v": v0})
+        for key, t in (("x", xt), ("w", wt), ("v", vt)):
+            if t.grad is not None:
+                assert rel_err(t.grad, fd[key]) <= 1e-6, (name, key)
+
+
 def test_row_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
     logits = Tensor(rng.normal(size=(50, 2)) * 10)
@@ -125,19 +155,6 @@ def test_param_store_basics():
     assert store.keys() == [("Enc", "W1")]
 
 
-def test_evaluate_with_gradients():
-    store = ParamStore()
-    store.add("Enc", "W1", np.ones((2, 2)))
-
-    def fn(s):
-        w = s.get("Enc", "W1")
-        return ad.sum_all(ad.mul(w, w))
-
-    value, grads = evaluate_with_gradients(fn, store)
-    assert value == 4.0
-    assert np.array_equal(grads[("Enc", "W1")], 2 * np.ones((2, 2)))
-
-
 def test_adam_first_step_hand_computed():
     # x = 1, loss = x^2, lr = 0.1: the bias-corrected first step is
     # lr * g / (sqrt(g^2) + eps) = 0.1
@@ -168,16 +185,12 @@ def test_adam_decoupled_weight_decay():
 def test_adam_trajectory_deterministic():
     def run():
         store = ParamStore()
-        store.add("Enc", "W", np.full((2, 2), 0.7))
+        w = store.add("Enc", "W", np.full((2, 2), 0.7))
         opt = Adam(store, lr=1e-2)
         for _ in range(25):
-
-            def fn(s):
-                w = s.get("Enc", "W")
-                return ad.sum_all(ad.mul(w, w))
-
-            _v, grads = evaluate_with_gradients(fn, store)
-            opt.step(grads)
+            store.zero_grads()
+            ad.sum_all(ad.mul(w, w)).backward()
+            opt.step(store.grads())
         return store.get("Enc", "W").data.copy()
 
     assert np.array_equal(run(), run())

@@ -304,7 +304,7 @@ def test_monotonicity_adding_instances_never_unpacks():
         unpacked = [nm for nm, v in labels.labels.items() if v == 1]
         if not unpacked:
             continue
-        target = design.instance_map()[unpacked[0]]
+        target = {inst.name: inst for inst in design.instances}[unpacked[0]]
         extra_inst, extra_nets = [], []
         far = design.layout_w - 0.5
         for i in range(5):
