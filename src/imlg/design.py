@@ -17,12 +17,17 @@ that references them.
 Label documents carry one ``<instance> <0|1>`` pair per line; label 1
 marks an unpacked (minority) instance. Serialization is canonical:
 instances and nets are emitted sorted by name, so equal designs produce
-byte-identical documents.
+byte-identical documents. A pin appears on at most one net, once.
+
+`NodeTable` is the one reading of a design's pins into per-node packing
+facts; the packing oracle and the graph builder both work from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 INSTANCE_TYPES = ("LUT2", "LUT3", "LUT4", "LUT5", "LUT6", "FF")
 LUT_TYPES = INSTANCE_TYPES[:5]
@@ -47,14 +52,23 @@ def is_output_pin(type_tag: str, pin: str) -> bool:
     return pin == ("q" if type_tag == "FF" else "o")
 
 
-class DesignError(ValueError):
-    """Malformed design or label document; names the offending line or entity."""
+class DocumentError(ValueError):
+    """Malformed text document; the message starts with the line, when known."""
 
     def __init__(self, msg: str, line: int | None = None):
         if line is not None:
             msg = f"line {line}: {msg}"
         super().__init__(msg)
         self.line = line
+
+
+class DesignError(DocumentError):
+    """Malformed design or label document; names the offending line or entity."""
+
+
+def fmt_float(value: float) -> str:
+    # 17 significant digits round-trips float64 exactly
+    return format(value, ".17g")
 
 
 @dataclass(frozen=True)
@@ -79,6 +93,65 @@ class PlacementDesign:
     nets: list[Net] = field(default_factory=list)
 
 
+MAX_BLE_INPUTS = 6  # distinct input nets two LUTs sharing a BLE may have between them
+
+
+class NodeTable:
+    """A design's per-node packing facts, read from its pins in one pass.
+
+    Nodes are the instances in name order; a node's id is its position.
+    Nets are numbered by their position in ``design.nets``; -1 means none.
+    These facts state the BLE rule that the packing oracle and the
+    congeneric edges share: two LUTs may share a BLE when the union of
+    their ``lut_inputs`` holds at most MAX_BLE_INPUTS nets, two FFs when
+    their ``ck`` and their ``sr`` are equal. An FF's ``d_driver`` is the
+    LUT whose ``o`` shares a net with its ``d``: the pair the oracle
+    places side by side and the correlation rule links.
+    """
+
+    def __init__(self, design: PlacementDesign):
+        insts = sorted(design.instances, key=lambda s: s.name)
+        n = len(insts)
+        self.names = [s.name for s in insts]
+        self.name_to_id = name_to_id = {nm: i for i, nm in enumerate(self.names)}
+        self.xy = np.array([(s.x, s.y) for s in insts]).reshape(n, 2)
+        self.type_index = np.array([TYPE_INDEX[s.type] for s in insts], dtype=np.int8)
+        self.is_ff = self.type_index == TYPE_INDEX["FF"]
+        is_ff = self.is_ff.tolist()
+        ck, sr, d_driver = [-1] * n, [-1] * n, [-1] * n
+        lut_inputs: list[set[int]] = [set() for _ in range(n)]
+        self.net_members: list[list[int]] = []
+        for k, net in enumerate(design.nets):
+            members: set[int] = set()
+            driver, d_sinks = -1, []
+            for nm, pin in net.pins:
+                i = name_to_id[nm]
+                members.add(i)
+                if not is_ff[i]:
+                    if pin == "o":
+                        driver = i
+                    else:
+                        lut_inputs[i].add(k)
+                elif pin == "d":
+                    d_sinks.append(i)
+                elif pin == "ck":
+                    ck[i] = k
+                elif pin == "sr":
+                    sr[i] = k
+            if driver >= 0:
+                for f in d_sinks:
+                    d_driver[f] = driver
+            self.net_members.append(sorted(members))
+        self.ck = np.array(ck, dtype=np.int64)
+        self.sr = np.array(sr, dtype=np.int64)
+        self.d_driver = np.array(d_driver, dtype=np.int64)
+        self.lut_inputs = [frozenset(s) for s in lut_inputs]
+
+    @property
+    def n(self) -> int:
+        return len(self.names)
+
+
 @dataclass
 class LabelSet:
     """Per-instance packing outcome: 0 packed, 1 unpacked (the positive class)."""
@@ -88,44 +161,6 @@ class LabelSet:
     @property
     def minority_fraction(self) -> float:
         return sum(1 for v in self.labels.values() if v == 1) / len(self.labels)
-
-
-def validate_design(design: PlacementDesign) -> None:
-    """Check all structural invariants, raising DesignError naming the culprit."""
-    if design.layout_w < 1 or design.layout_h < 1:
-        raise DesignError(f"layout extent must be >= 1, got {design.layout_w} {design.layout_h}")
-    seen: dict[str, Instance] = {}
-    for inst in design.instances:
-        if inst.type not in TYPE_INDEX:
-            raise DesignError(f"unknown type '{inst.type}' for instance {inst.name}")
-        if "." in inst.name:
-            raise DesignError(f"instance name must not contain '.': {inst.name}")
-        if inst.name in seen:
-            raise DesignError(f"duplicate instance name {inst.name}")
-        if not (0.0 <= inst.x < design.layout_w and 0.0 <= inst.y < design.layout_h):
-            raise DesignError(
-                f"coordinate out of extent for instance {inst.name}: ({inst.x}, {inst.y})"
-            )
-        seen[inst.name] = inst
-    net_names: set[str] = set()
-    for net in design.nets:
-        if net.name in net_names:
-            raise DesignError(f"duplicate net name {net.name}")
-        net_names.add(net.name)
-        if len(net.pins) < 2:
-            raise DesignError(f"net {net.name} has fewer than 2 pins")
-        outputs = 0
-        for inst_name, pin in net.pins:
-            inst = seen.get(inst_name)
-            if inst is None:
-                raise DesignError(f"net {net.name} references unknown instance {inst_name}")
-            if pin not in legal_pins(inst.type):
-                raise DesignError(
-                    f"pin illegal for type: {inst_name}.{pin} (type {inst.type})"
-                )
-            outputs += is_output_pin(inst.type, pin)
-        if outputs > 1:
-            raise DesignError(f"net {net.name} has more than one output-class pin")
 
 
 def _strip_comment(line: str) -> str:
@@ -140,6 +175,7 @@ def parse_design(text: str) -> PlacementDesign:
     nets: list[Net] = []
     inst_by_name: dict[str, Instance] = {}
     net_names: set[str] = set()
+    first_net: dict[tuple[str, str], str] = {}  # (instance, pin) -> the net it first appeared on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _strip_comment(raw).split()
         if not tokens:
@@ -208,8 +244,12 @@ def parse_design(text: str) -> PlacementDesign:
                     raise DesignError(
                         f"pin illegal for type: {inst_name}.{pin} (type {inst.type})", lineno
                     )
+                ref = (inst_name, pin)
+                if ref in first_net:
+                    raise DesignError(f"pin {tok} repeated: first on net {first_net[ref]}", lineno)
+                first_net[ref] = name
                 outputs += is_output_pin(inst.type, pin)
-                pins.append((inst_name, pin))
+                pins.append(ref)
             if outputs > 1:
                 raise DesignError(f"net {name} has more than one output-class pin", lineno)
             net_names.add(name)
@@ -221,16 +261,11 @@ def parse_design(text: str) -> PlacementDesign:
     return PlacementDesign(layout[0], layout[1], instances, nets)
 
 
-def _fmt(value: float) -> str:
-    # 17 significant digits round-trips float64 exactly
-    return format(value, ".17g")
-
-
 def write_design(design: PlacementDesign) -> str:
     """Serialize canonically: instances and nets sorted by name."""
     lines = [f"LAYOUT {design.layout_w} {design.layout_h}"]
     for inst in sorted(design.instances, key=lambda i: i.name):
-        lines.append(f"INSTANCE {inst.name} {inst.type} {_fmt(inst.x)} {_fmt(inst.y)}")
+        lines.append(f"INSTANCE {inst.name} {inst.type} {fmt_float(inst.x)} {fmt_float(inst.y)}")
     for net in sorted(design.nets, key=lambda n: n.name):
         pins = " ".join(f"{inst}.{pin}" for inst, pin in net.pins)
         lines.append(f"NET {net.name} {len(net.pins)} {pins}")

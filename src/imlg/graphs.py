@@ -3,21 +3,22 @@
 Three edge rules, applied in order:
 
 1. congeneric: same-class pairs (LUT-LUT or FF-FF) within Chebyshev
-   distance L that could legally share a BLE (LUT pair: combined distinct
-   input nets <= 6; FF pair: equal ck and sr nets). Each node keeps at
-   most ``edge_cap`` nearest such candidates and an edge is kept only
-   when both endpoints keep each other, so congeneric degree is bounded.
-2. correlation: one edge per (LUT, FF) pair whose ``o`` and ``d`` pins
-   share a net.
+   distance L that could legally share a BLE under the rule stated on
+   ``imlg.design.NodeTable``. Each node keeps at most ``edge_cap`` nearest
+   such candidates and an edge is kept only when both endpoints keep each
+   other, so congeneric degree is bounded.
+2. correlation: one edge per FF and its ``d_driver``, the LUT whose ``o``
+   shares a net with the FF's ``d``.
 3. residual: nodes still isolated get edges to their nearest netlist
    neighbors (instances sharing any net), up to ``edge_cap``.
 
 The result is far sparser than expanding every net into a clique while
 keeping hot regions connected. Both distance-ranked rules order candidates
 by (squared distance, id) through ``imlg.spatial``, which also holds the
-grid index behind the congeneric candidate search. A graph is stored as
-one symmetric CSR adjacency (`imlg.sparse.Adjacency`) with the rule code
-of every stored entry.
+grid index behind the congeneric candidate search. The rules read the
+design only through its `NodeTable`. A graph is stored as one symmetric
+CSR adjacency (`imlg.sparse.Adjacency`) with the rule code of every
+stored entry.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import LabelSet, PlacementDesign
+from .design import MAX_BLE_INPUTS, DocumentError, LabelSet, NodeTable, PlacementDesign, fmt_float
 from .features import build_feature_matrix
 from .sparse import Adjacency, RepeatedEdge
 from .spatial import GridIndex, by_distance
@@ -35,12 +36,8 @@ EDGE_RULES = ("congeneric", "correlation", "residual")
 _RULE_CODE = {r: i for i, r in enumerate(EDGE_RULES)}
 
 
-class GraphFormatError(ValueError):
-    def __init__(self, msg: str, line: int | None = None):
-        if line is not None:
-            msg = f"line {line}: {msg}"
-        super().__init__(msg)
-        self.line = line
+class GraphFormatError(DocumentError):
+    """Malformed IMLG-GRAPH document."""
 
 
 @dataclass(frozen=True)
@@ -95,75 +92,42 @@ class CircuitGraph:
         return self.adj.rows[upper], self.adj.indices[upper], self.rules[upper]
 
 
-class _NodeTable:
-    """Canonical node order (names sorted) plus per-node packing attributes."""
+def _compatible(table: NodeTable):
+    """The congeneric search's ``accept(u, v)``: the broadcast mask of the
+    same-class pairs that could share a BLE under the `NodeTable` rule.
+    LUT input sets become rows of a padded net-index matrix, so the test
+    is a vectorized comparison."""
+    width = max(map(len, table.lut_inputs), default=0)
+    # padding never matches: it is negative and distinct per (node, slot)
+    inputs = -1 - np.arange(table.n * width, dtype=np.int64).reshape(table.n, width)
+    for i, nets in enumerate(table.lut_inputs):
+        inputs[i, : len(nets)] = sorted(nets)
+    n_inputs = np.array([len(nets) for nets in table.lut_inputs], dtype=np.int16)
 
-    def __init__(self, design: PlacementDesign):
-        insts = sorted(design.instances, key=lambda s: s.name)
-        n = len(insts)
-        self.names = [s.name for s in insts]
-        self.name_to_id = {nm: i for i, nm in enumerate(self.names)}
-        self.xy = np.array([(s.x, s.y) for s in insts]).reshape(n, 2)
-        self.is_ff = np.array([s.type == "FF" for s in insts], dtype=bool)
-        # ck / sr nets as net indices (-1 = none) and LUT input nets as net
-        # index rows, so that BLE compatibility is a vectorized comparison
-        self.ck = np.full(n, -1, dtype=np.int64)
-        self.sr = np.full(n, -1, dtype=np.int64)
-        self.net_members: list[list[int]] = []
-        lut_in: dict[int, set[int]] = {}
-        net_code: dict[str, int] = {}
-        for net in design.nets:
-            k = net_code.setdefault(net.name, len(net_code))
-            members = sorted({self.name_to_id[nm] for nm, _ in net.pins})
-            self.net_members.append(members)
-            for nm, pin in net.pins:
-                i = self.name_to_id[nm]
-                if self.is_ff[i]:
-                    if pin == "ck":
-                        self.ck[i] = k
-                    elif pin == "sr":
-                        self.sr[i] = k
-                elif pin != "o":
-                    lut_in.setdefault(i, set()).add(k)
-        width = max((len(v) for v in lut_in.values()), default=0)
-        # padding never matches: it is negative and distinct per (node, slot)
-        self.inputs = -1 - np.arange(n * width, dtype=np.int64).reshape(n, width)
-        self.n_inputs = np.zeros(n, dtype=np.int16)
-        for i, nets in lut_in.items():
-            self.inputs[i, : len(nets)] = sorted(nets)
-            self.n_inputs[i] = len(nets)
+    def accept(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        if table.is_ff[u.flat[0]]:
+            return (table.ck[u] == table.ck[v]) & (table.sr[u] == table.sr[v])
+        shared = np.zeros(np.broadcast_shapes(u.shape, v.shape), dtype=np.int16)
+        for s in range(width):
+            a = inputs[u, s]
+            for t in range(width):
+                shared += a == inputs[v, t]
+        return n_inputs[u] + n_inputs[v] - shared <= MAX_BLE_INPUTS
 
-    @property
-    def n(self) -> int:
-        return len(self.names)
+    return accept
 
 
-def _compatible(table: _NodeTable, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Broadcast mask of the same-class pairs (u, v) that could share a BLE:
-    FFs with equal ck and sr nets, LUTs with at most 6 distinct input nets
-    between them."""
-    if table.is_ff[u.flat[0]]:
-        return (table.ck[u] == table.ck[v]) & (table.sr[u] == table.sr[v])
-    shared = np.zeros(np.broadcast_shapes(u.shape, v.shape), dtype=np.int16)
-    for s in range(table.inputs.shape[1]):
-        a = table.inputs[u, s]
-        for t in range(table.inputs.shape[1]):
-            shared += a == table.inputs[v, t]
-    return table.n_inputs[u] + table.n_inputs[v] - shared <= 6
-
-
-def _congeneric_from_table(table: _NodeTable, cfg: BuildConfig) -> set[tuple[int, int]]:
+def _congeneric_from_table(table: NodeTable, cfg: BuildConfig) -> set[tuple[int, int]]:
     # candidates: same class, in the 3x3 block of L-sized cells around the
     # node and within Chebyshev distance L; each node keeps the edge_cap
     # nearest compatible ones by (distance, id)
     n = table.n
     selected = np.full((n, cfg.edge_cap), -1, dtype=np.int64)
+    accept = _compatible(table)
     for ff in (False, True):
         ids = np.flatnonzero(table.is_ff == ff)
         index = GridIndex(table.xy, cfg.L, ids)
-        selected[ids] = index.nearest(
-            ids, cfg.edge_cap, box=cfg.L, accept=lambda u, v: _compatible(table, u, v)
-        )
+        selected[ids] = index.nearest(ids, cfg.edge_cap, box=cfg.L, accept=accept)
     i = np.repeat(np.arange(n, dtype=np.int64), cfg.edge_cap)
     j = selected.ravel()
     keep = j >= 0
@@ -179,33 +143,21 @@ def build_congeneric_edges(design: PlacementDesign, cfg: BuildConfig = BuildConf
     """Mutual nearest-candidate edges between packing-compatible same-class
     nodes within Chebyshev distance L. A node id is the position of its
     instance name in sorted order."""
-    return _congeneric_from_table(_NodeTable(design), cfg)
+    return _congeneric_from_table(NodeTable(design), cfg)
 
 
-def _correlation_from_table(design: PlacementDesign, table: _NodeTable) -> set[tuple[int, int]]:
-    edges = set()
-    for net in design.nets:
-        driver = None
-        ff_sinks = []
-        for nm, pin in net.pins:
-            i = table.name_to_id[nm]
-            if table.is_ff[i]:
-                if pin == "d":
-                    ff_sinks.append(i)
-            elif pin == "o":
-                driver = i
-        if driver is not None:
-            for f in ff_sinks:
-                edges.add((min(driver, f), max(driver, f)))
-    return edges
+def _correlation_from_table(table: NodeTable) -> set[tuple[int, int]]:
+    ff = np.flatnonzero(table.d_driver >= 0)
+    lut = table.d_driver[ff]  # either end may hold the smaller id
+    return set(zip(np.minimum(lut, ff).tolist(), np.maximum(lut, ff).tolist()))
 
 
 def build_correlation_edges(design: PlacementDesign) -> set:
     """One edge per (LUT, FF) pair whose o and d pins share a net."""
-    return _correlation_from_table(design, _NodeTable(design))
+    return _correlation_from_table(NodeTable(design))
 
 
-def _residual_from_table(table: _NodeTable, existing, edge_cap: int) -> set[tuple[int, int]]:
+def _residual_from_table(table: NodeTable, existing, edge_cap: int) -> set[tuple[int, int]]:
     pairs = np.array(list(existing), dtype=np.int64).reshape(-1, 2)
     degree = np.bincount(pairs.ravel(), minlength=table.n)
     node_nets: dict[int, list[int]] = {}
@@ -229,7 +181,7 @@ def build_residual_edges(
 ) -> set:
     """Edges from still-isolated nodes to their nearest netlist neighbors.
     A node without netlist neighbors stays isolated."""
-    return _residual_from_table(_NodeTable(design), partial_edges, cfg.edge_cap)
+    return _residual_from_table(NodeTable(design), partial_edges, cfg.edge_cap)
 
 
 def build_graph(
@@ -239,9 +191,9 @@ def build_graph(
 ) -> CircuitGraph:
     """Assemble the full graph: three edge rules merged with precedence
     congeneric > correlation > residual, features and optional labels."""
-    table = _NodeTable(design)
+    table = NodeTable(design)
     rule_of = dict.fromkeys(_congeneric_from_table(table, cfg), _RULE_CODE["congeneric"])
-    for e in _correlation_from_table(design, table):
+    for e in _correlation_from_table(table):
         rule_of.setdefault(e, _RULE_CODE["correlation"])
     for e in _residual_from_table(table, rule_of, cfg.edge_cap):
         rule_of.setdefault(e, _RULE_CODE["residual"])
@@ -302,7 +254,7 @@ def disjoint_union(graphs: list[CircuitGraph], prefixes: list[str] | None = None
 def clique_expansion_count(design: PlacementDesign) -> int:
     """Edge count of the naive construction that expands every net into a
     clique over its instances (deduplicated across nets)."""
-    table = _NodeTable(design)
+    table = NodeTable(design)
     n = table.n
     keys = []
     for members in table.net_members:
@@ -320,10 +272,6 @@ def clique_expansion_count(design: PlacementDesign) -> int:
 # graph file format
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
-
-
 def write_graph(graph: CircuitGraph) -> str:
     """Serialize to the IMLG-GRAPH text format (deterministic)."""
     d = 0 if graph.features is None else graph.features.shape[1]
@@ -334,7 +282,7 @@ def write_graph(graph: CircuitGraph) -> str:
     )
     if graph.features is not None:
         for i in range(graph.n):
-            vals = " ".join(_fmt(v) for v in graph.features[i])
+            vals = " ".join(fmt_float(v) for v in graph.features[i])
             lines.append(f"FEAT {i} {vals}")
     if graph.labels is not None:
         for i in range(graph.n):

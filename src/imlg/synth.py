@@ -3,10 +3,10 @@
 Instances are placed as a uniform background plus Gaussian hotspots;
 overflowing hotspots are what produces unpacked elements. The labeling
 oracle is a deterministic greedy legalizer over slice cells: each cell
-holds 8 BLEs, a BLE holds at most two LUTs (combined distinct input nets
-<= 6) and two FFs (equal ck net and equal sr net). An instance that fits
-neither its own cell nor any of the 8 surrounding cells is labeled
-unpacked (1).
+holds 8 BLEs, a BLE holds at most two LUTs and two FFs that may share it
+under the BLE rule of ``imlg.design.NodeTable``, the table the oracle
+reads. An instance that fits neither its own cell nor any of the 8
+surrounding cells is labeled unpacked (1).
 
 The generator hits a requested minority fraction by bisecting the
 hotspot intensity against the oracle, so the labels always come from the
@@ -26,10 +26,11 @@ import numpy as np
 
 from .design import (
     LUT_TYPES,
-    TYPE_INDEX,
+    MAX_BLE_INPUTS,
     Instance,
     LabelSet,
     Net,
+    NodeTable,
     PlacementDesign,
     lut_width,
 )
@@ -38,7 +39,6 @@ from .spatial import GridIndex, by_distance, radius_cell
 BLES_PER_CELL = 8
 LUTS_PER_BLE = 2
 FFS_PER_BLE = 2
-MAX_BLE_INPUTS = 6
 
 # net-construction knobs (kept module-local; the rng makes them reproducible)
 _LUT_SIZE_WEIGHTS = (0.10, 0.15, 0.20, 0.25, 0.30)  # LUT2..LUT6
@@ -281,87 +281,46 @@ class _Ble:
         self.sr = None
 
 
-class _Item:
-    __slots__ = ("name", "type", "cell", "is_ff", "inputs", "ck", "sr", "d_driver")
-
-    def __init__(self, inst: Instance):
-        self.name = inst.name
-        self.type = inst.type
-        self.cell = (int(math.floor(inst.x)), int(math.floor(inst.y)))
-        self.is_ff = inst.type == "FF"
-        self.inputs: frozenset = frozenset()
-        self.ck = None
-        self.sr = None
-        self.d_driver: str | None = None
-
-
-def _analyze(design: PlacementDesign) -> list[_Item]:
-    items = {inst.name: _Item(inst) for inst in design.instances}
-    lut_inputs: dict[str, set[str]] = {}
-    for net in design.nets:
-        driver_lut = None
-        d_sinks = []
-        for inst_name, pin in net.pins:
-            item = items[inst_name]
-            if item.is_ff:
-                if pin == "ck":
-                    item.ck = net.name
-                elif pin == "sr":
-                    item.sr = net.name
-                elif pin == "d":
-                    d_sinks.append(item)
-            else:
-                if pin == "o":
-                    driver_lut = inst_name
-                else:
-                    lut_inputs.setdefault(inst_name, set()).add(net.name)
-        if driver_lut is not None:
-            for item in d_sinks:
-                item.d_driver = driver_lut
-    for name, nets in lut_inputs.items():
-        items[name].inputs = frozenset(nets)
-    return list(items.values())
-
-
-def _lut_fits(ble: _Ble, item: _Item) -> bool:
+def _lut_fits(table: NodeTable, ble: _Ble, i: int) -> bool:
     if len(ble.luts) >= LUTS_PER_BLE:
         return False
     if not ble.luts:
         return True
-    return len(ble.lut_inputs | item.inputs) <= MAX_BLE_INPUTS
+    return len(ble.lut_inputs | table.lut_inputs[i]) <= MAX_BLE_INPUTS
 
 
-def _ff_fits(ble: _Ble, item: _Item) -> bool:
+def _ff_fits(table: NodeTable, ble: _Ble, i: int) -> bool:
     if len(ble.ffs) >= FFS_PER_BLE:
         return False
     if not ble.ffs:
         return True
-    return ble.ck == item.ck and ble.sr == item.sr
+    return ble.ck == table.ck[i] and ble.sr == table.sr[i]
 
 
-def _try_place(cells, placed_at, cell, item: _Item) -> bool:
+def _try_place(table: NodeTable, cells, placed_at, cell, i: int) -> bool:
     bles = cells.get(cell)
     if bles is None:
         bles = [_Ble() for _ in range(BLES_PER_CELL)]
         cells[cell] = bles
     order = range(BLES_PER_CELL)
-    if item.is_ff and item.d_driver is not None:
-        loc = placed_at.get(item.d_driver)
+    is_ff = table.is_ff[i]
+    if is_ff:
+        loc = placed_at.get(int(table.d_driver[i]))  # -1, no driver, is never placed
         if loc is not None and loc[0] == cell:
             order = [loc[1]] + [j for j in range(BLES_PER_CELL) if j != loc[1]]
     for j in order:
         ble = bles[j]
-        if item.is_ff:
-            if _ff_fits(ble, item):
-                ble.ffs.append(item.name)
-                ble.ck, ble.sr = item.ck, item.sr
-                placed_at[item.name] = (cell, j)
+        if is_ff:
+            if _ff_fits(table, ble, i):
+                ble.ffs.append(table.names[i])
+                ble.ck, ble.sr = table.ck[i], table.sr[i]
+                placed_at[i] = (cell, j)
                 return True
         else:
-            if _lut_fits(ble, item):
-                ble.luts.append(item.name)
-                ble.lut_inputs = ble.lut_inputs | item.inputs
-                placed_at[item.name] = (cell, j)
+            if _lut_fits(table, ble, i):
+                ble.luts.append(table.names[i])
+                ble.lut_inputs = ble.lut_inputs | table.lut_inputs[i]
+                placed_at[i] = (cell, j)
                 return True
     return False
 
@@ -373,26 +332,26 @@ def _pack_design(design: PlacementDesign):
     name) order; phase 2 retries the leftovers against the 8 surrounding
     cells in the same order. Anything still unplaced is unpacked.
     """
-    items = _analyze(design)
-    items.sort(key=lambda it: (it.cell, TYPE_INDEX[it.type], it.name))
+    table = NodeTable(design)
+    cx, cy = np.floor(table.xy).astype(np.int64).T
+    order = np.lexsort((table.type_index, cy, cx))  # stable: ties stay in id (name) order
+    cell_of = list(zip(cx.tolist(), cy.tolist()))
     cells: dict[tuple[int, int], list[_Ble]] = {}
-    placed_at: dict[str, tuple[tuple[int, int], int]] = {}
-    labels = {it.name: 0 for it in items}
-    deferred: list[_Item] = []
-    for item in items:
-        if not _try_place(cells, placed_at, item.cell, item):
-            deferred.append(item)
+    placed_at: dict[int, tuple[tuple[int, int], int]] = {}
+    labels = dict.fromkeys(table.names, 0)
+    deferred: list[int] = []
+    for i in order.tolist():
+        if not _try_place(table, cells, placed_at, cell_of[i], i):
+            deferred.append(i)
     w, h = design.layout_w, design.layout_h
-    for item in deferred:
-        cx, cy = item.cell
-        done = False
+    for i in deferred:
+        cx, cy = cell_of[i]
         for dx, dy in _NEIGHBOR_OFFSETS:
             nx, ny = cx + dx, cy + dy
-            if 0 <= nx < w and 0 <= ny < h and _try_place(cells, placed_at, (nx, ny), item):
-                done = True
+            if 0 <= nx < w and 0 <= ny < h and _try_place(table, cells, placed_at, (nx, ny), i):
                 break
-        if not done:
-            labels[item.name] = 1
+        else:
+            labels[table.names[i]] = 1
     return LabelSet(labels), cells
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFiniteError
+from .design import DocumentError, fmt_float
 from .graphs import CircuitGraph
 from .model import HyperParams, classify, encode, forward, init_params, predicted_labels
 from .optim import Adam, ParamStore
@@ -24,12 +25,8 @@ from .partition import partition_graph
 from .sparse import Adjacency
 
 
-class CheckpointError(ValueError):
-    def __init__(self, msg: str, line: int | None = None):
-        if line is not None:
-            msg = f"line {line}: {msg}"
-        super().__init__(msg)
-        self.line = line
+class CheckpointError(DocumentError):
+    """Malformed IMLG-CKPT document."""
 
 
 @dataclass
@@ -157,20 +154,16 @@ def infer(graph: CircuitGraph, params: ParamStore) -> tuple[np.ndarray, np.ndarr
 _RETIRED_HP = {"soft_synthetic_edges": "0", "oversample_to_balance": "1"}
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
-
-
 def save_checkpoint(params: ParamStore, hp: HyperParams) -> str:
     lines = ["IMLG-CKPT v1"]
     for f in fields(HyperParams):
         value = getattr(hp, f.name)
-        lines.append(f"HP {f.name} {_fmt(value) if isinstance(value, float) else value}")
+        lines.append(f"HP {f.name} {fmt_float(value) if isinstance(value, float) else value}")
     for (owner, name), tensor in params.items():
         rows, cols = tensor.data.shape
         lines.append(f"PARAM {owner} {name} {rows} {cols}")
         for r in range(rows):
-            lines.append(" ".join(_fmt(v) for v in tensor.data[r]))
+            lines.append(" ".join(fmt_float(v) for v in tensor.data[r]))
     return "\n".join(lines) + "\n"
 
 
@@ -261,7 +254,7 @@ def load_checkpoint(text: str) -> tuple[ParamStore, HyperParams]:
 
 def write_predictions(names: list[str], probs: np.ndarray, labels: np.ndarray) -> str:
     lines = [
-        f"{nm},{_fmt(float(p))},{int(lab)}" for nm, p, lab in zip(names, probs, labels)
+        f"{nm},{fmt_float(float(p))},{int(lab)}" for nm, p, lab in zip(names, probs, labels)
     ]
     return "\n".join(lines) + "\n"
 

@@ -8,7 +8,6 @@ from imlg.design import (
     PlacementDesign,
     parse_design,
     parse_labels,
-    validate_design,
     write_design,
     write_labels,
 )
@@ -94,10 +93,18 @@ def test_empty_net_list_serializes_without_net_lines():
     assert "NET" not in write_design(d)
 
 
-def test_validate_design_matches_parser_rules():
-    d = PlacementDesign(2, 2, [Instance("a", "LUT2", 3.0, 0.0)], [])
-    with pytest.raises(DesignError, match="out of extent"):
-        validate_design(d)
+def test_pin_on_two_nets_rejected():
+    text = MINIMAL.replace("NET n0 2 l0.o f0.d\n", "NET a 2 l0.o f0.d\n\nNET c 2 f0.d f1.ck\n")
+    text = text.replace("INSTANCE f0", "INSTANCE f1 FF 2.0 0.5\nINSTANCE f0")
+    assert text.splitlines()[6] == "NET c 2 f0.d f1.ck"
+    with pytest.raises(DesignError, match=r"^line 7: pin f0.d repeated: first on net a$"):
+        parse_design(text)
+
+
+def test_pin_twice_in_one_net_rejected():
+    text = MINIMAL.replace("NET n0 2 l0.o f0.d", "NET a 3 l0.o f0.d f0.d")
+    with pytest.raises(DesignError, match=r"^line 4: pin f0.d repeated: first on net a$"):
+        parse_design(text)
 
 
 def test_parse_labels_basic_and_minority_fraction():

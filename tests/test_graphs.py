@@ -3,7 +3,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from imlg.design import Instance, Net, PlacementDesign, parse_design, validate_design
+from imlg import graphs
+from imlg.design import (
+    MAX_BLE_INPUTS,
+    Instance,
+    Net,
+    NodeTable,
+    PlacementDesign,
+    parse_design,
+    write_design,
+)
 from imlg.graphs import (
     EDGE_RULES,
     BuildConfig,
@@ -18,7 +27,7 @@ from imlg.graphs import (
     read_graph,
     write_graph,
 )
-from imlg.synth import GenConfig, generate_labeled
+from imlg.synth import GenConfig, _ff_fits, _lut_fits, _try_place, generate_labeled
 
 
 def edge_list(g):
@@ -33,7 +42,7 @@ def neighbors(g, i):
 
 def _design(w, h, instances, nets=()):
     d = PlacementDesign(w, h, list(instances), list(nets))
-    validate_design(d)
+    parse_design(write_design(d))  # raises DesignError unless d is a valid design
     return d
 
 
@@ -182,6 +191,48 @@ def test_congeneric_matches_reference_loop_on_ties(L, cap):
     for d in (design, PlacementDesign(w, h, snapped, design.nets)):
         cfg = BuildConfig(L=L, edge_cap=cap)
         assert build_congeneric_edges(d, cfg) == _congeneric_reference(d, cfg)
+
+
+def test_congeneric_rule_agrees_with_the_oracle(monkeypatch):
+    # the builder's vectorized BLE test accepts v for u, on every same-class
+    # pair (u, v) the congeneric search scans, exactly when the oracle's
+    # set-based test fits v into a fresh BLE holding only u
+    design, _labels = generate_labeled(GenConfig(n_instances=1250, seed=103))
+    table = NodeTable(design)
+    scanned = []
+    compatible = graphs._compatible
+
+    def recording(t):
+        accept = compatible(t)
+
+        def wrapped(u, v):
+            mask = accept(u, v)
+            uu, vv = np.broadcast_arrays(u, v)
+            scanned.append(np.stack([uu.ravel(), vv.ravel(), mask.ravel()], axis=1))
+            return mask
+
+        return wrapped
+
+    monkeypatch.setattr(graphs, "_compatible", recording)
+    graphs.build_congeneric_edges(design)
+    pairs = np.unique(np.concatenate(scanned), axis=0)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    assert np.all(table.is_ff[pairs[:, 0]] == table.is_ff[pairs[:, 1]])
+    unions = {False: set(), True: set()}  # LUT input-union sizes seen, by verdict
+    starts = np.flatnonzero(np.diff(pairs[:, 0])) + 1  # pairs are sorted by u
+    for group in np.split(pairs, starts):
+        u = int(group[0, 0])
+        cells = {}
+        assert _try_place(table, cells, {}, (0, 0), u)
+        ble = cells[(0, 0)][0]
+        fits = _ff_fits if table.is_ff[u] else _lut_fits
+        for v, mask in group[:, 1:].tolist():
+            assert fits(table, ble, v) == bool(mask), (table.names[u], table.names[v])
+            if not table.is_ff[u]:
+                unions[bool(mask)].add(len(table.lut_inputs[u] | table.lut_inputs[v]))
+    # the design exercises the limit from both sides, and both classes
+    assert max(unions[True]) == MAX_BLE_INPUTS and min(unions[False]) == MAX_BLE_INPUTS + 1
+    assert table.is_ff[pairs[:, 0]].any() and not table.is_ff[pairs[:, 0]].all()
 
 
 def test_congeneric_degree_bounded_by_cap():

@@ -3,10 +3,19 @@ import hashlib
 import numpy as np
 import pytest
 
-from imlg.design import Instance, Net, PlacementDesign, validate_design, write_design, write_labels
+from imlg.design import (
+    Instance,
+    Net,
+    NodeTable,
+    PlacementDesign,
+    parse_design,
+    write_design,
+    write_labels,
+)
 from imlg.synth import (
     GenConfig,
-    _analyze,
+    _ff_fits,
+    _lut_fits,
     _pack_design,
     generate_design,
     generate_labeled,
@@ -18,7 +27,7 @@ CELL = 0.5  # offset placing an instance mid-cell
 
 def _design(layout, instances, nets=()):
     d = PlacementDesign(layout, layout, list(instances), list(nets))
-    validate_design(d)
+    parse_design(write_design(d))  # raises DesignError unless d is a valid design
     return d
 
 
@@ -43,7 +52,7 @@ def test_different_seeds_differ():
 def test_generated_designs_validate():
     for seed in range(5):
         d = generate_design(GenConfig(n_instances=150, seed=seed))
-        validate_design(d)
+        parse_design(write_design(d))
 
 
 def test_infeasible_config_rejected():
@@ -326,22 +335,19 @@ def test_monotonicity_adding_instances_never_unpacks():
 
 
 def test_label_locality_unpacked_neighborhood_is_saturated():
-    from imlg.synth import _ff_fits, _lut_fits
-
     design, labels = generate_labeled(GenConfig(n_instances=1500, seed=4))
     _labels2, cells = _pack_design(design)
-    items = {it.name: it for it in _analyze(design)}
-    unpacked = [nm for nm, v in labels.labels.items() if v == 1]
+    table = NodeTable(design)
+    unpacked = [table.name_to_id[nm] for nm, v in labels.labels.items() if v == 1]
     assert unpacked, "fixture needs at least one unpacked instance"
-    for nm in unpacked:
-        item = items[nm]
-        cx, cy = item.cell
+    for i in unpacked:
+        cx, cy = np.floor(table.xy[i]).astype(int).tolist()
         for x in range(cx - 1, cx + 2):
             for y in range(cy - 1, cy + 2):
                 if not (0 <= x < design.layout_w and 0 <= y < design.layout_h):
                     continue
                 for ble in cells.get((x, y), []):
-                    if item.is_ff:
-                        assert not _ff_fits(ble, item)
+                    if table.is_ff[i]:
+                        assert not _ff_fits(table, ble, i)
                     else:
-                        assert not _lut_fits(ble, item)
+                        assert not _lut_fits(table, ble, i)
