@@ -47,6 +47,7 @@ from .partition import Partition, partition_graph
 from .synth import GenConfig, generate_design, generate_labeled, packing_oracle
 from .train import (
     CheckpointError,
+    PredictionError,
     TrainConfig,
     TrainLog,
     infer,

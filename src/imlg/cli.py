@@ -2,14 +2,17 @@
 
 `gen`, `build-graph` and `train` print their effective configuration
 (defaults, then config file, then flags, flags winning) so a run can be
-reproduced from its log. `infer` and `eval` read no config key, so they
-print none, though a config file given to them is still checked. All
-randomness is controlled by the single `seed` key.
+reproduced from its log, then one `blas` line with the BLAS thread
+variables: OpenBLAS rounds some sums differently at other thread counts,
+so a run's digests hold for the count its log shows. `infer` and `eval`
+read no config key, so they print none, though a config file given to them
+is still checked. All randomness is controlled by the single `seed` key.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import Field, fields
 from pathlib import Path
@@ -99,9 +102,13 @@ def _effective_config(ns: argparse.Namespace) -> dict:
     return cfg
 
 
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def _print_config(cfg: dict):
     for key in sorted(cfg):
         print(f"config {key} = {cfg[key]}")
+    print("blas " + " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in _BLAS_VARS))
 
 
 def _settings(cfg: dict, owner: type):

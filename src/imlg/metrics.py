@@ -1,8 +1,12 @@
 """Binary classification evaluation: ROC/AUC, TPR at fixed FPR, F1.
 
-The positive class is always the unpacked (minority) one. TPR at a
-fractional FPR target is read off the empirical ROC by linear
-interpolation, which is exact at the curve's vertices.
+The positive class is always the unpacked (minority) one. The ROC is one
+descending sort of the scores followed by cumulative TP and FP counts read
+at the end of each run of tied scores (Fawcett 2006, "An introduction to
+ROC analysis", Algorithm 1). TPR at a fractional FPR target is read off
+that curve by linear interpolation, which is exact at the curve's
+vertices. Every entry point rejects a non-finite score and a label other
+than 0 or 1, naming the first offending index.
 """
 
 from __future__ import annotations
@@ -14,10 +18,16 @@ import numpy as np
 
 def _scored(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1 or len(scores) == 0:
         raise ValueError("scores and labels must be equal-length non-empty vectors")
-    return scores, labels
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if len(bad):
+        raise ValueError(f"score {scores[bad[0]]} at index {bad[0]} is not finite")
+    bad = np.flatnonzero((labels != 0) & (labels != 1))  # before any cast truncates
+    if len(bad):
+        raise ValueError(f"label {labels[bad[0]]!r} at index {bad[0]} is not 0 or 1")
+    return scores, labels.astype(np.int64)
 
 
 def roc_curve(scores, labels) -> np.ndarray:
@@ -30,18 +40,11 @@ def roc_curve(scores, labels) -> np.ndarray:
         raise ValueError("ROC needs both classes present")
     order = np.argsort(-scores, kind="stable")
     s, l = scores[order], labels[order]
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(s):
-        j = i
-        while j < len(s) and s[j] == s[i]:
-            j += 1
-        tp += int((l[i:j] == 1).sum())
-        fp += int((l[i:j] == 0).sum())
-        points.append((fp / neg, tp / pos))
-        i = j
-    return np.array(points)
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True))  # last index of each tie group
+    points = np.zeros((len(ends) + 1, 2))
+    points[1:, 0] = np.cumsum(l == 0)[ends] / neg
+    points[1:, 1] = np.cumsum(l == 1)[ends] / pos
+    return points
 
 
 def auc(roc: np.ndarray) -> float:
@@ -76,10 +79,14 @@ def confusion_at(scores, labels, tau: float = 0.5) -> tuple[int, int, int, int]:
     return tp, fp, tn, fn
 
 
-def f1_at(scores, labels, tau: float = 0.5) -> float:
-    tp, fp, _tn, fn = confusion_at(scores, labels, tau)
+def _f1(tp: int, fp: int, fn: int) -> float:
     denom = 2 * tp + fp + fn
     return 2 * tp / denom if denom else 0.0
+
+
+def f1_at(scores, labels, tau: float = 0.5) -> float:
+    tp, fp, _tn, fn = confusion_at(scores, labels, tau)
+    return _f1(tp, fp, fn)
 
 
 @dataclass
@@ -110,7 +117,7 @@ def report(scores, labels, tau: float = 0.5) -> EvalReport:
         fn=fn,
         precision=precision,
         recall=recall,
-        f1=f1_at(scores, labels, tau),
+        f1=_f1(tp, fp, fn),
         auc=auc(roc),
         tpr20=tpr_at_fpr(roc, 0.2),
         tpr40=tpr_at_fpr(roc, 0.4),

@@ -29,6 +29,10 @@ class CheckpointError(DocumentError):
     """Malformed IMLG-CKPT document."""
 
 
+class PredictionError(DocumentError):
+    """Malformed prediction file."""
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 1000
@@ -171,10 +175,11 @@ def load_checkpoint(text: str) -> tuple[ParamStore, HyperParams]:
     """Parse an IMLG-CKPT document. A malformed line, a non-numeric or
     non-finite weight, a hyperparameter HyperParams rejects, a retired
     flag other than its kept value and a repeated HP line or PARAM block
-    raise CheckpointError with the line number."""
+    raise CheckpointError with the line number; a wrong header names line
+    1, and a hyperparameter or parameter never given names the last line."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "IMLG-CKPT v1":
-        raise CheckpointError("expected header 'IMLG-CKPT v1'")
+        raise CheckpointError("expected header 'IMLG-CKPT v1'", 1)
     kinds = {f.name: type(f.default) for f in fields(HyperParams)}
     hp_values: dict[str, object] = {}
     params = ParamStore()
@@ -244,11 +249,15 @@ def load_checkpoint(text: str) -> tuple[ParamStore, HyperParams]:
             raise CheckpointError(f"unknown directive '{tokens[0]}'", lineno)
     missing = [name for name in kinds if name not in hp_values]
     if missing:
-        raise CheckpointError(f"missing hyperparameter {missing[0]}")
+        raise CheckpointError(f"missing hyperparameter {missing[0]} by the end of the document",
+                              len(lines))
     hp = HyperParams(**hp_values)
     for required in (("Enc", "W1"), ("Dec", "S"), ("Clf", "W_agg"), ("Clf", "W_head")):
         if required not in dict(params.items()):
-            raise CheckpointError(f"missing parameter {required[0]}.{required[1]}")
+            raise CheckpointError(
+                f"missing parameter {required[0]}.{required[1]} by the end of the document",
+                len(lines),
+            )
     return params, hp
 
 
@@ -262,20 +271,20 @@ def write_predictions(names: list[str], probs: np.ndarray, labels: np.ndarray) -
 def read_predictions(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Parse ``name,probability,label`` lines. A non-numeric field, a
     probability outside [0, 1] (or not finite), a label other than 0 or 1
-    and a repeated name raise ValueError with the line number."""
+    and a repeated name raise PredictionError with the line number."""
     names, probs, labels, where = [], [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         parts = raw.split(",")
         if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 'name,probability,label'")
+            raise PredictionError("expected 'name,probability,label'", lineno)
         try:
             prob, label = float(parts[1]), int(parts[2])
         except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric field in '{raw.strip()}'") from None
+            raise PredictionError(f"non-numeric field in '{raw.strip()}'", lineno) from None
         if label not in (0, 1):
-            raise ValueError(f"line {lineno}: label {label} for {parts[0]} not in {{0, 1}}")
+            raise PredictionError(f"label {label} for {parts[0]} not in {{0, 1}}", lineno)
         names.append(parts[0])
         probs.append(prob)
         labels.append(label)
@@ -284,13 +293,13 @@ def read_predictions(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     bad = np.flatnonzero(~((prob_arr >= 0.0) & (prob_arr <= 1.0)))  # NaN fails both
     if len(bad):
         r = bad[0]
-        raise ValueError(f"line {where[r]}: probability {probs[r]} for {names[r]} not in [0, 1]")
+        raise PredictionError(f"probability {probs[r]} for {names[r]} not in [0, 1]", where[r])
     if len(set(names)) != len(names):
         first: dict[str, int] = {}
         for nm, lineno in zip(names, where):
             if nm in first:
-                raise ValueError(
-                    f"line {lineno}: duplicate prediction for {nm} (first at line {first[nm]})"
+                raise PredictionError(
+                    f"duplicate prediction for {nm} (first at line {first[nm]})", lineno
                 )
             first[nm] = lineno
     return names, prob_arr, np.array(labels, dtype=np.int64)

@@ -159,7 +159,7 @@ def test_infer_reader_error_names_the_checkpoint_file(tmp_path, capsys):
     code = main(["infer", "--ckpt", str(bad), "--graph", str(base / "d.graph"),
                  "--out", str(tmp_path / "p")])
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: {bad}: expected header")
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line 1: expected header")
 
 
 def test_eval_reader_error_names_the_prediction_file(tmp_path, capsys):
@@ -178,3 +178,18 @@ def test_build_graph_reader_error_names_the_design_file(tmp_path, capsys):
     code = main(["build-graph", "--design", str(bad), "--out", str(tmp_path / "g.graph")])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def test_blas_thread_line_follows_the_config_lines(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    base = run_pipeline(tmp_path)
+    out = capsys.readouterr().out.splitlines()
+    blas = [at for at, ln in enumerate(out) if ln.startswith("blas ")]
+    assert [out[at] for at in blas] == ["blas OPENBLAS_NUM_THREADS=3 OMP_NUM_THREADS=unset"] * 3
+    # one each for gen, build-graph and train, right after its last config line
+    assert all(out[at - 1].startswith("config ") and not out[at + 1].startswith("config ")
+               for at in blas)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert main(["gen", "--instances", "40", "--out", str(base / "e")]) == 0
+    assert "blas OPENBLAS_NUM_THREADS=3 OMP_NUM_THREADS=1\n" in capsys.readouterr().out

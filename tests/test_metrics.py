@@ -38,6 +38,70 @@ def mann_whitney_auc(scores, labels):
     return (r1 - n1 * (n1 + 1) / 2.0) / (n1 * n0)
 
 
+def loop_roc_curve(scores, labels):
+    """roc_curve as it was before it became one sort and cumulative counts:
+    a Python sweep over the groups of tied scores, kept as a reference."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    pos = int((labels == 1).sum())
+    neg = int((labels == 0).sum())
+    order = np.argsort(-scores, kind="stable")
+    s, l = scores[order], labels[order]
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    i = 0
+    while i < len(s):
+        j = i
+        while j < len(s) and s[j] == s[i]:
+            j += 1
+        tp += int((l[i:j] == 1).sum())
+        fp += int((l[i:j] == 0).sum())
+        points.append((fp / neg, tp / pos))
+        i = j
+    return np.array(points)
+
+
+def _reference_cases():
+    rng = np.random.default_rng(11)
+    for n in (2, 7, 100, 5000):
+        labels = (rng.random(n) < 0.3).astype(int)
+        labels[:2] = [1, 0]  # both classes present
+        yield f"distinct-{n}", rng.random(n), labels
+        yield f"ties-2dp-{n}", np.round(rng.random(n), 2), labels
+        yield f"ties-1dp-{n}", np.round(rng.random(n), 1), labels
+        yield f"all-equal-{n}", np.full(n, 0.25), labels
+        one = np.zeros(n, dtype=int)
+        one[rng.integers(n)] = 1
+        yield f"single-positive-{n}", np.round(rng.random(n), 1), one
+    signed_zeros = np.array([0.0, -0.0, 0.5, -0.0, 0.0, 0.5, -0.0])
+    yield "signed-zeros", signed_zeros, np.array([1, 0, 0, 1, 0, 1, 1])
+
+
+REFERENCE_CASES = list(_reference_cases())
+
+
+@pytest.mark.parametrize("name,scores,labels", REFERENCE_CASES,
+                         ids=[case[0] for case in REFERENCE_CASES])
+def test_roc_curve_equals_the_loop_reference(name, scores, labels):
+    got, want = roc_curve(scores, labels), loop_roc_curve(scores, labels)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert roc_lines(got) == roc_lines(want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_score_rejected_with_its_index(bad):
+    for fn in (roc_curve, report, confusion_at, f1_at):
+        with pytest.raises(ValueError, match="at index 1 is not finite"):
+            fn(np.array([0.5, bad, 0.2, bad]), np.array([1, 0, 0, 1]))
+
+
+@pytest.mark.parametrize("labels", [[1, 0, 2, 0], [1, 0, 0.7, 1.2], [1, 0, -1, 0]])
+def test_label_other_than_zero_or_one_rejected_before_any_cast(labels):
+    for fn in (roc_curve, report, confusion_at, f1_at):
+        with pytest.raises(ValueError, match="at index 2 is not 0 or 1"):
+            fn([0.9, 0.1, 0.6, 0.3], labels)
+
+
 def test_perfect_separation_curve_points():
     roc = roc_curve(PERFECT_SCORES, PERFECT_LABELS)
     assert roc.tolist() == [[0, 0], [0, 0.5], [0, 1], [0.5, 1], [1, 1]]

@@ -10,6 +10,7 @@ from imlg.model import HyperParams, init_params
 from imlg.synth import GenConfig, generate_labeled
 from imlg.train import (
     CheckpointError,
+    PredictionError,
     TrainConfig,
     infer,
     load_checkpoint,
@@ -249,7 +250,8 @@ def test_checkpoint_names_line_of_rejected_hyperparameter(prefix, value, message
 def test_checkpoint_missing_hyperparameter_rejected():
     hp = HyperParams(hidden_dim=8)
     text = save_checkpoint(init_params(10, hp, seed=0), hp).replace("HP eta 10\n", "")
-    with pytest.raises(CheckpointError, match="missing hyperparameter eta"):
+    last = len(text.splitlines())
+    with pytest.raises(CheckpointError, match=f"^line {last}: missing hyperparameter eta"):
         load_checkpoint(text)
 
 
@@ -302,7 +304,7 @@ def test_predictions_roundtrip():
     ],
 )
 def test_read_predictions_rejects_bad_rows(text, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(PredictionError, match=message):
         read_predictions(text)
 
 
